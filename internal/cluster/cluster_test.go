@@ -177,7 +177,7 @@ func TestClusterByteIdenticalToLocal(t *testing.T) {
 	if got := fetchResult(t, co, sub); got != want {
 		t.Errorf("cluster output differs from local run:\n--- local ---\n%s\n--- cluster ---\n%s", want, got)
 	}
-	if co.cellPuts.Value() == 0 {
+	if co.blobs[tierCell].puts.Value() == 0 {
 		t.Error("no cells were published by workers: the cluster did not participate")
 	}
 	if co.unitsDone.Value() == 0 {
@@ -209,12 +209,12 @@ func TestClusterCrossNodeCacheHits(t *testing.T) {
 	waitDone(t, co, first)
 	// table3 is arch-eligible: the committed streams recorded on the
 	// workers were written through to the coordinator's arch tier.
-	if co.archTracePuts.Value() == 0 {
+	if co.blobs[tierArch].puts.Value() == 0 {
 		t.Error("no arch traces were uploaded to the shared tier")
 	}
 	// fig5 is events-shaped: its event recordings were written through
 	// to the coordinator's event-trace tier.
-	if co.tracePuts.Value() == 0 {
+	if co.blobs[tierTrace].puts.Value() == 0 {
 		t.Error("no event traces were uploaded to the shared tier")
 	}
 
@@ -241,10 +241,10 @@ func TestClusterCrossNodeCacheHits(t *testing.T) {
 
 	second := submitJob(t, co, `{"version":1,"experiments":["misest","jrsmcf"]}`)
 	waitDone(t, co, second)
-	if co.archTraceHits.Value() == 0 {
+	if co.blobs[tierArch].hits.Value() == 0 {
 		t.Error("no cross-node arch-trace hits recorded")
 	}
-	if co.traceHits.Value() == 0 {
+	if co.blobs[tierTrace].hits.Value() == 0 {
 		t.Error("no cross-node trace-cache hits recorded")
 	}
 	res := fetchResults(t, co, second)
@@ -260,7 +260,7 @@ func TestClusterCrossNodeCacheHits(t *testing.T) {
 	if got, want := fetchResults(t, co, third)["table3"], fetchResults(t, co, first)["table3"]; got != want {
 		t.Error("table3 resubmission differs from the first run")
 	}
-	if co.cellHits.Value() == 0 {
+	if co.blobs[tierCell].hits.Value() == 0 {
 		t.Error("no cross-node cell-cache hits recorded")
 	}
 }

@@ -66,13 +66,14 @@ type Config struct {
 // plus the /cluster/v1/ scheduling and cache-tier endpoints. Construct
 // with New; stop with Drain.
 type Coordinator struct {
-	cfg        Config
-	srv        *serve.Server
-	reg        *obs.Registry
-	tracer     *span.Tracer
-	store      *serve.Store
-	traces     *replay.Cache
-	archTraces *replay.ArchCache
+	cfg    Config
+	srv    *serve.Server
+	reg    *obs.Registry
+	tracer *span.Tracer
+	store  *serve.Store
+	// blobs is the cache-tier table behind /cluster/v1/blobs, keyed by
+	// tier name (tierCell, tierTrace, tierArch).
+	blobs map[string]*blobTier
 
 	mu         sync.Mutex
 	workers    map[string]*workerState
@@ -88,13 +89,10 @@ type Coordinator struct {
 	stop chan struct{} // closes when Drain begins; stops the reaper
 	done sync.WaitGroup
 
-	workersGauge                                  *obs.Gauge
-	unitsDone, unitsFailed                        *obs.Counter
-	unitsReassigned, steals                       *obs.Counter
-	workersLost                                   *obs.Counter
-	cellHits, cellMisses, cellPuts                *obs.Counter
-	traceHits, traceMisses, tracePuts             *obs.Counter
-	archTraceHits, archTraceMisses, archTracePuts *obs.Counter
+	workersGauge            *obs.Gauge
+	unitsDone, unitsFailed  *obs.Counter
+	unitsReassigned, steals *obs.Counter
+	workersLost             *obs.Counter
 }
 
 // workerState is the coordinator's view of one registered worker.
@@ -159,20 +157,19 @@ func New(cfg Config) (*Coordinator, error) {
 		cfg.Serve.Params.TraceCache = replay.NewCache(cfg.Serve.TraceCacheBytes, cfg.Serve.Registry)
 	}
 	if cfg.Serve.Params.ArchCache == nil {
-		cfg.Serve.Params.ArchCache = replay.NewArchCache(cfg.Serve.ArchCacheBytes, cfg.Serve.Registry)
+		cfg.Serve.Params.ArchCache = replay.NewArchCache(cfg.Serve.TraceCacheBytes, cfg.Serve.Registry)
 	}
 
 	reg := cfg.Serve.Registry
+	traces, archTraces := cfg.Serve.Params.TraceCache, cfg.Serve.Params.ArchCache
 	c := &Coordinator{
-		cfg:        cfg,
-		reg:        reg,
-		tracer:     cfg.Serve.Tracer,
-		traces:     cfg.Serve.Params.TraceCache,
-		archTraces: cfg.Serve.Params.ArchCache,
-		workers:    make(map[string]*workerState),
-		units:      make(map[string]*unit),
-		wake:       make(chan struct{}),
-		stop:       make(chan struct{}),
+		cfg:     cfg,
+		reg:     reg,
+		tracer:  cfg.Serve.Tracer,
+		workers: make(map[string]*workerState),
+		units:   make(map[string]*unit),
+		wake:    make(chan struct{}),
+		stop:    make(chan struct{}),
 
 		workersGauge:    reg.Gauge("specctrl_cluster_workers", nil),
 		unitsDone:       reg.Counter("specctrl_cluster_units_total", obs.Labels{"state": unitDone}),
@@ -180,15 +177,17 @@ func New(cfg Config) (*Coordinator, error) {
 		unitsReassigned: reg.Counter("specctrl_cluster_units_reassigned_total", nil),
 		steals:          reg.Counter("specctrl_cluster_steals_total", nil),
 		workersLost:     reg.Counter("specctrl_cluster_workers_lost_total", nil),
-		cellHits:        reg.Counter("specctrl_cluster_cell_hits_total", nil),
-		cellMisses:      reg.Counter("specctrl_cluster_cell_misses_total", nil),
-		cellPuts:        reg.Counter("specctrl_cluster_cell_puts_total", nil),
-		traceHits:       reg.Counter("specctrl_cluster_trace_hits_total", nil),
-		traceMisses:     reg.Counter("specctrl_cluster_trace_misses_total", nil),
-		tracePuts:       reg.Counter("specctrl_cluster_trace_puts_total", nil),
-		archTraceHits:   reg.Counter("specctrl_cluster_archtrace_hits_total", nil),
-		archTraceMisses: reg.Counter("specctrl_cluster_archtrace_misses_total", nil),
-		archTracePuts:   reg.Counter("specctrl_cluster_archtrace_puts_total", nil),
+	}
+	// The cell store exists only once serve.New returns, so the cell
+	// row reaches it through c.store at request time.
+	c.blobs = map[string]*blobTier{
+		tierCell: newBlobTier(reg, tierCell, cellCodec,
+			func(addr string) (experiments.CellResult, bool) { return c.store.Lookup(addr) },
+			func(addr string, cell experiments.CellResult) error { return c.store.Put(addr, cell) }),
+		tierTrace: newBlobTier(reg, tierTrace, traceCodec, traces.LRU.Get,
+			func(addr string, r replay.Recording) error { traces.Put(addr, r); return nil }),
+		tierArch: newBlobTier(reg, tierArch, archCodec, archTraces.Get,
+			func(addr string, t *replay.ArchTrace) error { archTraces.Put(addr, t); return nil }),
 	}
 	cfg.Serve.RunExperiment = c.runExperiment
 	cfg.Serve.Mount = c.mount

@@ -249,7 +249,7 @@ func TestDecodeTraceRejectsGarbage(t *testing.T) {
 		{0, 0, 0, 2, '{', '}', 1, 2, 3},       // garbage trace payload
 		{0, 0, 0, 2, 'n', 'o', 1, 2, 3, 4, 5}, // bad stats JSON
 	} {
-		if _, _, err := decodeTrace(bad); err == nil {
+		if _, err := decodeTrace(bad); err == nil {
 			t.Errorf("decodeTrace(%v) accepted garbage", bad)
 		}
 	}

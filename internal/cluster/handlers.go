@@ -7,17 +7,17 @@ import (
 	"net/http"
 	"time"
 
-	"specctrl/internal/experiments"
+	"specctrl/internal/obs"
 	"specctrl/internal/obs/span"
-	"specctrl/internal/replay"
 )
 
 // maxPollWait caps the long-poll duration a worker may request.
 const maxPollWait = 30 * time.Second
 
-// maxBodyBytes bounds cell and trace uploads. A full-scale suite trace
-// is a few megabytes; 256 MiB leaves room for much larger budgets
-// while still refusing an unbounded body.
+// maxBodyBytes bounds every blob body, in both directions: the
+// coordinator's PUT reads and the worker's GET reads. A full-scale
+// suite trace is a few megabytes; 256 MiB leaves room for much larger
+// budgets while still refusing an unbounded body.
 const maxBodyBytes = 256 << 20
 
 // mount registers the cluster wire protocol on the coordinator's serve
@@ -29,12 +29,8 @@ func (c *Coordinator) mount(mux *http.ServeMux) {
 	mux.Handle("POST /cluster/v1/workers/{id}/drain", c.traced("worker-drain", c.handleWorkerDrain))
 	mux.Handle("POST /cluster/v1/units/{id}/done", c.traced("unit-done", c.handleUnitDone))
 	mux.Handle("POST /cluster/v1/units/{id}/fail", c.traced("unit-fail", c.handleUnitFail))
-	mux.Handle("GET /cluster/v1/cells/{addr}", c.traced("cell-get", c.handleCellGet))
-	mux.Handle("PUT /cluster/v1/cells/{addr}", c.traced("cell-put", c.handleCellPut))
-	mux.Handle("GET /cluster/v1/traces/{addr}", c.traced("trace-get", c.handleTraceGet))
-	mux.Handle("PUT /cluster/v1/traces/{addr}", c.traced("trace-put", c.handleTracePut))
-	mux.Handle("GET /cluster/v1/archtraces/{addr}", c.traced("archtrace-get", c.handleArchTraceGet))
-	mux.Handle("PUT /cluster/v1/archtraces/{addr}", c.traced("archtrace-put", c.handleArchTracePut))
+	mux.Handle("GET /cluster/v1/blobs/{tier}/{addr}", c.traced("blob-get", c.handleBlobGet))
+	mux.Handle("PUT /cluster/v1/blobs/{tier}/{addr}", c.traced("blob-put", c.handleBlobPut))
 	mux.Handle("GET /cluster/v1/status", c.traced("cluster-status", c.handleStatus))
 }
 
@@ -144,153 +140,114 @@ func (c *Coordinator) handleUnitFail(w http.ResponseWriter, r *http.Request) {
 	w.WriteHeader(http.StatusNoContent)
 }
 
-// handleCellGet serves the shared cell tier: a worker consults it
-// before simulating, so any node's computed cell is every node's hit.
-func (c *Coordinator) handleCellGet(w http.ResponseWriter, r *http.Request) {
-	addr := r.PathValue("addr")
-	if !validAddr(addr) {
-		clusterErrorf(w, http.StatusBadRequest, "malformed cell address %q", addr)
-		return
-	}
-	cell, ok := c.store.Lookup(addr)
-	if !ok {
-		c.cellMisses.Inc()
-		if sp := span.FromContext(r.Context()); sp != nil {
-			sp.SetAttrs(span.Str("outcome", "miss"))
-		}
-		clusterErrorf(w, http.StatusNotFound, "no cell at %s", addr)
-		return
-	}
-	c.cellHits.Inc()
-	if sp := span.FromContext(r.Context()); sp != nil {
-		sp.SetAttrs(span.Str("outcome", "hit"))
-	}
-	clusterJSON(w, http.StatusOK, cell)
+// blobTier is one row of the coordinator's cache-tier table: how the
+// blob route reads and writes one shared tier through that tier's
+// codec, and the tier's specctrl_cluster_<tier>_* counters.
+type blobTier struct {
+	// get returns the encoded value at addr, reporting whether the
+	// tier holds one.
+	get func(addr string) ([]byte, bool, error)
+	// put decodes body and stores it at addr, returning the HTTP
+	// status that describes a failure (400 for an undecodable body).
+	put                func(addr string, body []byte) (int, error)
+	hits, misses, puts *obs.Counter
 }
 
-// handleCellPut is the write-through half of the cell tier: workers
-// publish every cell they simulate the moment it completes, which is
-// also what makes the store the reassignment checkpoint — a unit
-// re-run after a worker death hits everything its predecessor
-// published.
-func (c *Coordinator) handleCellPut(w http.ResponseWriter, r *http.Request) {
-	addr := r.PathValue("addr")
-	if !validAddr(addr) {
-		clusterErrorf(w, http.StatusBadRequest, "malformed cell address %q", addr)
-		return
+// newBlobTier builds the table row for the tier named name over its
+// typed get/put and wire codec. A body the codec rejects stores
+// nothing and counts no put.
+func newBlobTier[V any](reg *obs.Registry, name string, cd codec[V],
+	get func(string) (V, bool), put func(string, V) error) *blobTier {
+	return &blobTier{
+		get: func(addr string) ([]byte, bool, error) {
+			v, ok := get(addr)
+			if !ok {
+				return nil, false, nil
+			}
+			data, err := cd.encode(v)
+			return data, true, err
+		},
+		put: func(addr string, body []byte) (int, error) {
+			v, err := cd.decode(body)
+			if err != nil {
+				return http.StatusBadRequest, err
+			}
+			if err := put(addr, v); err != nil {
+				return http.StatusInternalServerError, err
+			}
+			return http.StatusNoContent, nil
+		},
+		hits:   reg.Counter("specctrl_cluster_"+name+"_hits_total", nil),
+		misses: reg.Counter("specctrl_cluster_"+name+"_misses_total", nil),
+		puts:   reg.Counter("specctrl_cluster_"+name+"_puts_total", nil),
 	}
-	var cell experiments.CellResult
-	if err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(&cell); err != nil {
-		clusterErrorf(w, http.StatusBadRequest, "bad cell body: %v", err)
-		return
-	}
-	if err := c.store.Put(addr, cell); err != nil {
-		clusterErrorf(w, http.StatusInternalServerError, "%v", err)
-		return
-	}
-	c.cellPuts.Inc()
-	w.WriteHeader(http.StatusNoContent)
 }
 
-// handleTraceGet serves the shared trace tier for record/replay: a
-// trace recorded by any node replays on every node.
-func (c *Coordinator) handleTraceGet(w http.ResponseWriter, r *http.Request) {
-	addr := r.PathValue("addr")
-	if !validAddr(addr) {
-		clusterErrorf(w, http.StatusBadRequest, "malformed trace address %q", addr)
-		return
-	}
-	t, st, ok := c.traces.Get(addr)
+// blobRequest resolves a blob route's {tier} and {addr}, answering 404
+// for an unknown tier and 400 for a malformed address.
+func (c *Coordinator) blobRequest(w http.ResponseWriter, r *http.Request) (*blobTier, string, bool) {
+	name, addr := r.PathValue("tier"), r.PathValue("addr")
+	bt, ok := c.blobs[name]
 	if !ok {
-		c.traceMisses.Inc()
-		if sp := span.FromContext(r.Context()); sp != nil {
-			sp.SetAttrs(span.Str("outcome", "miss"))
-		}
-		clusterErrorf(w, http.StatusNotFound, "no trace at %s", addr)
+		clusterErrorf(w, http.StatusNotFound, "unknown cache tier %q", name)
+		return nil, "", false
+	}
+	if !validAddr(addr) {
+		clusterErrorf(w, http.StatusBadRequest, "malformed %s address %q", name, addr)
+		return nil, "", false
+	}
+	return bt, addr, true
+}
+
+// handleBlobGet serves every shared cache tier: a worker consults the
+// cell tier before simulating and the trace tiers before recording, so
+// any node's work is every node's hit.
+func (c *Coordinator) handleBlobGet(w http.ResponseWriter, r *http.Request) {
+	bt, addr, ok := c.blobRequest(w, r)
+	if !ok {
 		return
 	}
-	data, err := encodeTrace(t, st)
+	data, found, err := bt.get(addr)
 	if err != nil {
 		clusterErrorf(w, http.StatusInternalServerError, "%v", err)
 		return
 	}
-	c.traceHits.Inc()
+	outcome, counter := "miss", bt.misses
+	if found {
+		outcome, counter = "hit", bt.hits
+	}
+	counter.Inc()
 	if sp := span.FromContext(r.Context()); sp != nil {
-		sp.SetAttrs(span.Str("outcome", "hit"))
+		sp.SetAttrs(span.Str("outcome", outcome))
+	}
+	if !found {
+		clusterErrorf(w, http.StatusNotFound, "no %s at %s", r.PathValue("tier"), addr)
+		return
 	}
 	w.Header().Set("Content-Type", "application/octet-stream")
 	w.Write(data)
 }
 
-func (c *Coordinator) handleTracePut(w http.ResponseWriter, r *http.Request) {
-	addr := r.PathValue("addr")
-	if !validAddr(addr) {
-		clusterErrorf(w, http.StatusBadRequest, "malformed trace address %q", addr)
-		return
-	}
-	data, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBodyBytes))
-	if err != nil {
-		clusterErrorf(w, http.StatusBadRequest, "read trace body: %v", err)
-		return
-	}
-	t, st, err := decodeTrace(data)
-	if err != nil {
-		clusterErrorf(w, http.StatusBadRequest, "%v", err)
-		return
-	}
-	c.traces.Put(addr, t, st)
-	c.tracePuts.Inc()
-	w.WriteHeader(http.StatusNoContent)
-}
-
-// handleArchTraceGet serves the shared arch-trace tier: the committed
-// branch-outcome stream any node recorded replays on every node. The
-// body is the trace's own self-validating encoding (no stats sidecar —
-// the committed-instruction count rides inside the stream).
-func (c *Coordinator) handleArchTraceGet(w http.ResponseWriter, r *http.Request) {
-	addr := r.PathValue("addr")
-	if !validAddr(addr) {
-		clusterErrorf(w, http.StatusBadRequest, "malformed arch-trace address %q", addr)
-		return
-	}
-	t, ok := c.archTraces.Get(addr)
+// handleBlobPut is the write-through half of every tier: workers
+// publish each cell and recording the moment it completes. For cells
+// this is also what makes the store the reassignment checkpoint — a
+// unit re-run after a worker death hits everything its predecessor
+// published.
+func (c *Coordinator) handleBlobPut(w http.ResponseWriter, r *http.Request) {
+	bt, addr, ok := c.blobRequest(w, r)
 	if !ok {
-		c.archTraceMisses.Inc()
-		if sp := span.FromContext(r.Context()); sp != nil {
-			sp.SetAttrs(span.Str("outcome", "miss"))
-		}
-		clusterErrorf(w, http.StatusNotFound, "no arch trace at %s", addr)
-		return
-	}
-	c.archTraceHits.Inc()
-	if sp := span.FromContext(r.Context()); sp != nil {
-		sp.SetAttrs(span.Str("outcome", "hit"))
-	}
-	w.Header().Set("Content-Type", "application/octet-stream")
-	w.Write(t.Encode())
-}
-
-// handleArchTracePut is the write-through half of the arch-trace tier:
-// a worker that records a committed stream uploads it so every other
-// node's recording becomes a fetch.
-func (c *Coordinator) handleArchTracePut(w http.ResponseWriter, r *http.Request) {
-	addr := r.PathValue("addr")
-	if !validAddr(addr) {
-		clusterErrorf(w, http.StatusBadRequest, "malformed arch-trace address %q", addr)
 		return
 	}
 	data, err := io.ReadAll(http.MaxBytesReader(w, r.Body, maxBodyBytes))
 	if err != nil {
-		clusterErrorf(w, http.StatusBadRequest, "read arch-trace body: %v", err)
+		clusterErrorf(w, http.StatusBadRequest, "read body: %v", err)
 		return
 	}
-	t, err := replay.DecodeArch(data)
-	if err != nil {
-		clusterErrorf(w, http.StatusBadRequest, "%v", err)
+	if code, err := bt.put(addr, data); err != nil {
+		clusterErrorf(w, code, "%v", err)
 		return
 	}
-	c.archTraces.Put(addr, t)
-	c.archTracePuts.Inc()
+	bt.puts.Inc()
 	w.WriteHeader(http.StatusNoContent)
 }
 

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 
+	"specctrl/internal/experiments"
 	"specctrl/internal/pipeline"
 	"specctrl/internal/replay"
 	"specctrl/internal/synth"
@@ -126,15 +127,55 @@ func validAddr(addr string) bool {
 	return true
 }
 
+// Cache tiers, as named in the blob route
+// (/cluster/v1/blobs/{tier}/{addr}) and in each tier's
+// specctrl_cluster_<tier>_* and specctrl_worker_<tier>_* metrics.
+const (
+	tierCell  = "cell"
+	tierTrace = "trace"
+	tierArch  = "archtrace"
+)
+
+// blobPath is the route of one tier's blob at addr.
+func blobPath(tier, addr string) string {
+	return "/cluster/v1/blobs/" + tier + "/" + addr
+}
+
+// codec is one cache tier's wire encoding. The coordinator's blob
+// route and the worker's remote tier share it, so both ends agree on a
+// tier's bytes by construction.
+type codec[V any] struct {
+	encode func(V) ([]byte, error)
+	decode func([]byte) (V, error)
+}
+
+var (
+	cellCodec = codec[experiments.CellResult]{
+		encode: func(c experiments.CellResult) ([]byte, error) { return json.Marshal(c) },
+		decode: func(data []byte) (experiments.CellResult, error) {
+			var c experiments.CellResult
+			err := json.Unmarshal(data, &c)
+			return c, err
+		},
+	}
+	traceCodec = codec[replay.Recording]{encode: encodeTrace, decode: decodeTrace}
+	// The arch trace's own self-validating encoding needs no sidecar:
+	// the committed-instruction count rides inside the stream.
+	archCodec = codec[*replay.ArchTrace]{
+		encode: func(t *replay.ArchTrace) ([]byte, error) { return t.Encode(), nil },
+		decode: replay.DecodeArch,
+	}
+)
+
 // encodeTrace frames a recorded trace and its base-run stats for the
 // wire: a 4-byte big-endian stats-JSON length, the stats JSON, then
 // the trace's own self-validating encoding (replay.Trace.Encode).
-func encodeTrace(t *replay.Trace, st *pipeline.Stats) ([]byte, error) {
-	stats, err := json.Marshal(st)
+func encodeTrace(r replay.Recording) ([]byte, error) {
+	stats, err := json.Marshal(r.Stats)
 	if err != nil {
 		return nil, fmt.Errorf("cluster: encode trace stats: %w", err)
 	}
-	enc := t.Encode()
+	enc := r.Trace.Encode()
 	out := make([]byte, 0, 4+len(stats)+len(enc))
 	out = binary.BigEndian.AppendUint32(out, uint32(len(stats)))
 	out = append(out, stats...)
@@ -145,22 +186,22 @@ func encodeTrace(t *replay.Trace, st *pipeline.Stats) ([]byte, error) {
 // decodeTrace parses an encodeTrace frame. The trace payload goes
 // through replay.Decode, so a corrupt or truncated body is rejected
 // with a typed error rather than replayed.
-func decodeTrace(data []byte) (*replay.Trace, *pipeline.Stats, error) {
+func decodeTrace(data []byte) (replay.Recording, error) {
 	if len(data) < 4 {
-		return nil, nil, fmt.Errorf("cluster: trace frame truncated")
+		return replay.Recording{}, fmt.Errorf("cluster: trace frame truncated")
 	}
 	n := binary.BigEndian.Uint32(data)
 	rest := data[4:]
 	if uint32(len(rest)) < n {
-		return nil, nil, fmt.Errorf("cluster: trace frame truncated")
+		return replay.Recording{}, fmt.Errorf("cluster: trace frame truncated")
 	}
 	st := new(pipeline.Stats)
 	if err := json.Unmarshal(rest[:n], st); err != nil {
-		return nil, nil, fmt.Errorf("cluster: decode trace stats: %w", err)
+		return replay.Recording{}, fmt.Errorf("cluster: decode trace stats: %w", err)
 	}
 	t, err := replay.Decode(rest[n:])
 	if err != nil {
-		return nil, nil, err
+		return replay.Recording{}, err
 	}
-	return t, st, nil
+	return replay.Recording{Trace: t, Stats: st}, nil
 }

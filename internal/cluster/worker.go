@@ -17,7 +17,6 @@ import (
 	"specctrl/internal/experiments"
 	"specctrl/internal/obs"
 	"specctrl/internal/obs/span"
-	"specctrl/internal/pipeline"
 	"specctrl/internal/policy"
 	"specctrl/internal/replay"
 	"specctrl/internal/runner"
@@ -63,6 +62,7 @@ type Worker struct {
 	tracer     *span.Tracer
 	traces     *replay.Cache
 	archTraces *replay.ArchCache
+	cells      remoteCells
 	hs         *obs.Server
 
 	ctx      context.Context
@@ -79,10 +79,7 @@ type Worker struct {
 	draining   bool
 	killed     bool
 
-	unitsDone, unitsFailed             *obs.Counter
-	fetchHits, fetchMisses, cellPuts   *obs.Counter
-	traceFetches, traceUploads         *obs.Counter
-	archTraceFetches, archTraceUploads *obs.Counter
+	unitsDone, unitsFailed *obs.Counter
 }
 
 // NewWorker registers with the coordinator and starts the worker's
@@ -123,20 +120,20 @@ func NewWorker(cfg WorkerConfig) (*Worker, error) {
 
 		loopDone: make(chan struct{}),
 
-		unitsDone:        cfg.Registry.Counter("specctrl_worker_units_total", obs.Labels{"result": "done"}),
-		unitsFailed:      cfg.Registry.Counter("specctrl_worker_units_total", obs.Labels{"result": "failed"}),
-		fetchHits:        cfg.Registry.Counter("specctrl_worker_cell_fetch_hits_total", nil),
-		fetchMisses:      cfg.Registry.Counter("specctrl_worker_cell_fetch_misses_total", nil),
-		cellPuts:         cfg.Registry.Counter("specctrl_worker_cell_puts_total", nil),
-		traceFetches:     cfg.Registry.Counter("specctrl_worker_trace_fetches_total", nil),
-		traceUploads:     cfg.Registry.Counter("specctrl_worker_trace_uploads_total", nil),
-		archTraceFetches: cfg.Registry.Counter("specctrl_worker_archtrace_fetches_total", nil),
-		archTraceUploads: cfg.Registry.Counter("specctrl_worker_archtrace_uploads_total", nil),
+		unitsDone:   cfg.Registry.Counter("specctrl_worker_units_total", obs.Labels{"result": "done"}),
+		unitsFailed: cfg.Registry.Counter("specctrl_worker_units_total", obs.Labels{"result": "failed"}),
 	}
 	w.ctx, w.cancel = context.WithCancel(context.Background())
 	w.loopCtx, w.loopStop = context.WithCancel(w.ctx)
-	w.traces.SetBacking(&remoteTraces{w: w})
-	w.archTraces.SetBacking(&remoteArchTraces{w: w})
+	w.cells = remoteCells{
+		remoteTier: newRemoteTier(w, tierCell, cellCodec,
+			"specctrl_worker_cell_fetch_hits_total", "specctrl_worker_cell_puts_total"),
+		misses: cfg.Registry.Counter("specctrl_worker_cell_fetch_misses_total", nil),
+	}
+	w.traces.SetBacking(newRemoteTier(w, tierTrace, traceCodec,
+		"specctrl_worker_trace_fetches_total", "specctrl_worker_trace_uploads_total"))
+	w.archTraces.SetBacking(newRemoteTier(w, tierArch, archCodec,
+		"specctrl_worker_archtrace_fetches_total", "specctrl_worker_archtrace_uploads_total"))
 
 	if err := w.register(); err != nil {
 		w.cancel()
@@ -355,7 +352,7 @@ func (w *Worker) runUnit(ctx context.Context, u *Unit, parent span.Context) erro
 	p.Ctx = ctx
 	p.Shard = sh
 	p.Record = experiments.NewCellStore()
-	p.Cache = &remoteCells{w: w}
+	p.Cache = w.cells
 	p.TraceCache = w.traces
 	p.ArchCache = w.archTraces
 	p.Obs = w.reg
@@ -487,165 +484,119 @@ func spanFrom(ctx context.Context) span.Context {
 	return span.Context{}
 }
 
-// remoteCells is the worker-side experiments.CellCache over the
-// coordinator's shared cell tier: consult before simulating, publish
-// after. Fetch and publish failures degrade to local computation —
-// the tier is an accelerator, never a correctness dependency.
+// remoteTier is the worker's side of one coordinator cache tier over
+// the blob route: fetch before computing, publish after. It is the
+// replay.Backing behind both local trace caches, and remoteCells
+// adapts it to the cell tier. Fetch and publish failures degrade to
+// local work — a tier is an accelerator, never a correctness
+// dependency.
+type remoteTier[V any] struct {
+	w                *Worker
+	tier             string
+	codec            codec[V]
+	fetches, uploads *obs.Counter
+}
+
+func newRemoteTier[V any](w *Worker, tier string, cd codec[V], fetches, uploads string) *remoteTier[V] {
+	return &remoteTier[V]{w: w, tier: tier, codec: cd,
+		fetches: w.reg.Counter(fetches, nil), uploads: w.reg.Counter(uploads, nil)}
+}
+
+// fetch GETs the tier's blob at addr and decodes it. The body is read
+// through maxBodyBytes, the same bound the coordinator puts on the
+// bodies it accepts. Any non-200 — a miss, or a 404 from a coordinator
+// of a different build that lacks the route — is a miss.
+func (rt *remoteTier[V]) fetch(ctx context.Context, addr string, sc span.Context) (V, bool) {
+	var zero V
+	req, err := http.NewRequestWithContext(ctx, http.MethodGet, rt.w.cfg.Coordinator+blobPath(rt.tier, addr), nil)
+	if err != nil {
+		return zero, false
+	}
+	span.Inject(req.Header, sc)
+	resp, err := rt.w.client.Do(req)
+	if err != nil {
+		return zero, false
+	}
+	defer resp.Body.Close()
+	if resp.StatusCode != http.StatusOK {
+		_, _ = io.Copy(io.Discard, resp.Body)
+		return zero, false
+	}
+	data, err := io.ReadAll(io.LimitReader(resp.Body, maxBodyBytes+1))
+	if err != nil || len(data) > maxBodyBytes {
+		return zero, false
+	}
+	v, err := rt.codec.decode(data)
+	if err != nil {
+		return zero, false
+	}
+	rt.fetches.Inc()
+	return v, true
+}
+
+// publish PUTs v as the tier's blob at addr, best-effort. It runs on
+// its own deadline so a recording made just before a drain still
+// reaches the coordinator.
+func (rt *remoteTier[V]) publish(addr string, v V, sc span.Context) {
+	data, err := rt.codec.encode(v)
+	if err != nil {
+		return
+	}
+	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
+	defer cancel()
+	req, err := http.NewRequestWithContext(ctx, http.MethodPut, rt.w.cfg.Coordinator+blobPath(rt.tier, addr), bytes.NewReader(data))
+	if err != nil {
+		return
+	}
+	req.Header.Set("Content-Type", "application/octet-stream")
+	span.Inject(req.Header, sc)
+	resp, err := rt.w.client.Do(req)
+	if err != nil {
+		return
+	}
+	_, _ = io.Copy(io.Discard, resp.Body)
+	resp.Body.Close()
+	if resp.StatusCode == http.StatusNoContent {
+		rt.uploads.Inc()
+	}
+}
+
+// Fetch implements replay.Backing.
+func (rt *remoteTier[V]) Fetch(addr string) (V, bool) {
+	ctx, cancel := context.WithTimeout(rt.w.ctx, 30*time.Second)
+	defer cancel()
+	return rt.fetch(ctx, addr, span.Context{})
+}
+
+// Store implements replay.Backing.
+func (rt *remoteTier[V]) Store(addr string, v V) {
+	rt.publish(addr, v, span.Context{})
+}
+
+// remoteCells adapts the cell tier to experiments.CellCache: consult
+// before simulating, publish after. The write-through publish is what
+// makes this worker's progress survive its own death. Its requests
+// join the per-cell span.
 type remoteCells struct {
-	w *Worker
+	*remoteTier[experiments.CellResult]
+	misses *obs.Counter
 }
 
 // GetOrCompute implements experiments.CellCache.
-func (rc *remoteCells) GetOrCompute(ctx context.Context, addr string, _ runner.Spec,
+func (rc remoteCells) GetOrCompute(ctx context.Context, addr string, _ runner.Spec,
 	compute func(context.Context) (experiments.CellResult, error)) (experiments.CellResult, error) {
-	w := rc.w
 	sc := spanFrom(ctx)
-	var cell experiments.CellResult
-	code, err := w.doJSON(ctx, http.MethodGet, "/cluster/v1/cells/"+addr, nil, &cell, sc)
-	if err == nil && code == http.StatusOK {
-		w.fetchHits.Inc()
+	if cell, ok := rc.fetch(ctx, addr, sc); ok {
 		return cell, nil
 	}
 	if ctx.Err() != nil {
 		return experiments.CellResult{}, ctx.Err()
 	}
-	w.fetchMisses.Inc()
-	cell, err = compute(ctx)
+	rc.misses.Inc()
+	cell, err := compute(ctx)
 	if err != nil {
 		return cell, err
 	}
-	// Write-through publish: best-effort, and what makes this worker's
-	// progress survive its own death.
-	putCtx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
-	defer cancel()
-	if code, err := w.doJSONBody(putCtx, http.MethodPut, "/cluster/v1/cells/"+addr, cell, sc); err == nil && code == http.StatusNoContent {
-		w.cellPuts.Inc()
-	}
+	rc.publish(addr, cell, sc)
 	return cell, nil
-}
-
-// doJSONBody is doJSON for requests whose response body is ignored.
-func (w *Worker) doJSONBody(ctx context.Context, method, path string, in any, sc span.Context) (int, error) {
-	return w.doJSON(ctx, method, path, in, nil, sc)
-}
-
-// remoteTraces is the worker-side replay.Backing over the
-// coordinator's trace tier: a trace recorded on any node is fetched
-// instead of re-recorded here, and local recordings are uploaded.
-type remoteTraces struct {
-	w *Worker
-}
-
-// Fetch implements replay.Backing.
-func (rt *remoteTraces) Fetch(addr string) (*replay.Trace, *pipeline.Stats, bool) {
-	w := rt.w
-	ctx, cancel := context.WithTimeout(w.ctx, 30*time.Second)
-	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, w.cfg.Coordinator+"/cluster/v1/traces/"+addr, nil)
-	if err != nil {
-		return nil, nil, false
-	}
-	resp, err := w.client.Do(req)
-	if err != nil {
-		return nil, nil, false
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		_, _ = io.Copy(io.Discard, resp.Body)
-		return nil, nil, false
-	}
-	data, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return nil, nil, false
-	}
-	t, st, err := decodeTrace(data)
-	if err != nil {
-		return nil, nil, false
-	}
-	w.traceFetches.Inc()
-	return t, st, true
-}
-
-// Store implements replay.Backing.
-func (rt *remoteTraces) Store(addr string, t *replay.Trace, st *pipeline.Stats) {
-	w := rt.w
-	data, err := encodeTrace(t, st)
-	if err != nil {
-		return
-	}
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodPut, w.cfg.Coordinator+"/cluster/v1/traces/"+addr, bytes.NewReader(data))
-	if err != nil {
-		return
-	}
-	req.Header.Set("Content-Type", "application/octet-stream")
-	resp, err := w.client.Do(req)
-	if err != nil {
-		return
-	}
-	_, _ = io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode == http.StatusNoContent {
-		w.traceUploads.Inc()
-	}
-}
-
-// remoteArchTraces is the worker-side replay.ArchBacking over the
-// coordinator's arch-trace tier: a committed branch-outcome stream
-// recorded on any node is fetched instead of re-recorded here, and
-// local recordings are uploaded.
-type remoteArchTraces struct {
-	w *Worker
-}
-
-// Fetch implements replay.ArchBacking.
-func (rt *remoteArchTraces) Fetch(addr string) (*replay.ArchTrace, bool) {
-	w := rt.w
-	ctx, cancel := context.WithTimeout(w.ctx, 30*time.Second)
-	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodGet, w.cfg.Coordinator+"/cluster/v1/archtraces/"+addr, nil)
-	if err != nil {
-		return nil, false
-	}
-	resp, err := w.client.Do(req)
-	if err != nil {
-		return nil, false
-	}
-	defer resp.Body.Close()
-	if resp.StatusCode != http.StatusOK {
-		_, _ = io.Copy(io.Discard, resp.Body)
-		return nil, false
-	}
-	data, err := io.ReadAll(resp.Body)
-	if err != nil {
-		return nil, false
-	}
-	t, err := replay.DecodeArch(data)
-	if err != nil {
-		return nil, false
-	}
-	w.archTraceFetches.Inc()
-	return t, true
-}
-
-// Store implements replay.ArchBacking.
-func (rt *remoteArchTraces) Store(addr string, t *replay.ArchTrace) {
-	w := rt.w
-	ctx, cancel := context.WithTimeout(context.Background(), 30*time.Second)
-	defer cancel()
-	req, err := http.NewRequestWithContext(ctx, http.MethodPut, w.cfg.Coordinator+"/cluster/v1/archtraces/"+addr, bytes.NewReader(t.Encode()))
-	if err != nil {
-		return
-	}
-	req.Header.Set("Content-Type", "application/octet-stream")
-	resp, err := w.client.Do(req)
-	if err != nil {
-		return
-	}
-	_, _ = io.Copy(io.Discard, resp.Body)
-	resp.Body.Close()
-	if resp.StatusCode == http.StatusNoContent {
-		w.archTraceUploads.Inc()
-	}
 }

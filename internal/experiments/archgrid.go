@@ -42,9 +42,10 @@ import (
 // in every mode, so all modes reconstruct the identical stream.
 
 // archEligible reports whether the canonical trace-driven evaluation
-// applies under these parameters. The check mirrors replayActive's
-// side-channel list (and is deliberately independent of Params.Replay:
-// the replay mode changes stream acquisition, never semantics): base
+// applies under these parameters; replayActive is this check plus the
+// ReplayOff escape hatch. It is deliberately independent of
+// Params.Replay (the replay mode changes stream acquisition, never
+// semantics): base
 // estimators, tracers, event logs, and site-stats collection need a
 // real simulation, and a speculation-control policy perturbs the
 // committed stream itself by changing what commits when.

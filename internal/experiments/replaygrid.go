@@ -33,20 +33,12 @@ import (
 
 // replayActive reports whether replay-backed evaluation applies under
 // these parameters. Direct simulation is kept for the explicit
-// ReplayOff escape hatch, for configurations whose observation side
-// channels need the real run (base-config estimators or tracers,
-// per-branch event logs, site-statistics collection), and for policied
-// pipelines: a speculation-control policy perturbs fetch timing, so the
+// ReplayOff escape hatch and for every configuration archEligible
+// rejects: observation side channels that need the real run, and
+// policied pipelines, whose perturbed fetch timing means the
 // estimator-visible event stream is no longer the unpolicied recording.
 func (p Params) replayActive() bool {
-	if p.Replay == ReplayOff {
-		return false
-	}
-	return len(p.Pipeline.Estimators) == 0 &&
-		p.Pipeline.Tracer == nil &&
-		p.Pipeline.Policy == nil &&
-		!p.Pipeline.RecordEvents &&
-		!p.Pipeline.CollectSiteStats
+	return p.Replay != ReplayOff && p.archEligible()
 }
 
 // defaultTraceCache backs Params with a nil TraceCache: one shared
@@ -123,14 +115,15 @@ func (p Params) traceFor(w workload.Workload, spec PredictorSpec) (*replay.Trace
 			span.Str("workload", w.Name), span.Str("predictor", spec.Name))
 		defer ts.End()
 	}
-	tr, st, outcome, err := p.traceCache().GetOrRecordOutcome(p.TraceAddress(w.Name, spec),
-		func() (*replay.Trace, *pipeline.Stats, error) {
-			return p.recordTrace(w, spec)
+	r, outcome, err := p.traceCache().GetOrRecordOutcome(p.TraceAddress(w.Name, spec),
+		func() (replay.Recording, error) {
+			tr, st, err := p.recordTrace(w, spec)
+			return replay.Recording{Trace: tr, Stats: st}, err
 		})
 	if ts != nil {
 		ts.SetAttrs(span.Str("outcome", string(outcome)))
 	}
-	return tr, st, err
+	return r.Trace, r.Stats, err
 }
 
 // replayEventBounds buckets per-replay event counts (one observation

@@ -8,15 +8,17 @@ import (
 	"specctrl/internal/pipeline"
 )
 
-// DefaultCacheBytes is the default retained-bytes budget for a trace
-// Cache. At the default experiment scale a suite trace is a few
-// megabytes (~18 B per fetched branch), so 256 MiB comfortably holds
-// every (workload, predictor) pair the full experiment grid records
-// while still bounding a long-running daemon.
+// DefaultCacheBytes is the default retained-bytes budget for each
+// trace tier's cache. At the default experiment scale a suite trace is
+// a few megabytes (~18 B per fetched branch), so 256 MiB comfortably
+// holds every (workload, predictor) pair the full experiment grid
+// records while still bounding a long-running daemon. Arch traces are
+// an order of magnitude smaller (~9 B per committed branch), so the
+// same budget holds far more workloads.
 const DefaultCacheBytes = 256 << 20
 
-// Cache is an in-memory, content-addressed cache of recorded traces
-// (and the base Stats of the run that recorded them), bounded by
+// LRU is the one in-memory, content-addressed cache substrate behind
+// both trace tiers: values of type V keyed by address, bounded by
 // retained bytes with least-recently-used eviction.
 //
 // Recording is deduplicated singleflight-style (the same discipline as
@@ -26,99 +28,100 @@ const DefaultCacheBytes = 256 << 20
 // retries.
 //
 // Eviction only ever costs time, never correctness: a caller that
-// misses re-records the trace from the deterministic simulation, so a
+// misses re-records the value from the deterministic simulation, so a
 // budget smaller than the working set degrades to direct-simulation
-// speed rather than misbehaving.
-type Cache struct {
+// speed rather than misbehaving. Values are shared and must be treated
+// as immutable.
+type LRU[V any] struct {
 	mu      sync.Mutex
 	max     int64
 	bytes   int64
+	size    func(V) int64
 	entries map[string]*list.Element
 	lru     *list.List // front = most recently used
-	flights map[string]*traceFlight
-	backing Backing
+	flights map[string]*flight[V]
+	backing Backing[V]
 
 	records, hits, fetches, evictions *obs.Counter
 	gauge                             *obs.Gauge
 }
 
-// cacheEntry is one resident trace; the lru list owns these.
-type cacheEntry struct {
+// entry is one resident value; the lru list owns these.
+type entry[V any] struct {
 	addr  string
-	trace *Trace
-	stats *pipeline.Stats
+	val   V
 	bytes int64
 }
 
-// traceFlight is one in-progress recording; followers wait on done.
-type traceFlight struct {
-	done  chan struct{}
-	trace *Trace
-	stats *pipeline.Stats
-	err   error
+// flight is one in-progress recording; followers wait on done.
+type flight[V any] struct {
+	done chan struct{}
+	val  V
+	err  error
 }
 
-// Backing is an optional second-level store behind a Cache — typically
-// a cluster coordinator's trace tier reached over HTTP. On a local
-// miss the cache consults Fetch before recording; after a successful
-// recording it offers the trace to Store. Both calls are best-effort:
-// Fetch returning false and Store failing silently only cost a
-// re-recording, never correctness, because the trace is a deterministic
-// function of its address.
+// Backing is an optional second-level store behind an LRU — typically
+// a cluster coordinator's tier reached over HTTP. On a local miss the
+// cache consults Fetch before recording; after a successful recording
+// it offers the value to Store. Both calls are best-effort: Fetch
+// returning false and Store failing silently only cost a re-recording,
+// never correctness, because the value is a deterministic function of
+// its address.
 //
-// Implementations must be safe for concurrent use. The *Trace and
-// *Stats exchanged are shared and treated as immutable, matching the
-// cache's own contract.
-type Backing interface {
-	// Fetch returns the trace stored under addr, reporting whether
-	// the backing tier had it.
-	Fetch(addr string) (*Trace, *pipeline.Stats, bool)
-	// Store offers a freshly recorded trace to the backing tier.
-	Store(addr string, t *Trace, st *pipeline.Stats)
+// Implementations must be safe for concurrent use. The values
+// exchanged are shared and treated as immutable, matching the cache's
+// own contract.
+type Backing[V any] interface {
+	// Fetch returns the value stored under addr, reporting whether the
+	// backing tier had it.
+	Fetch(addr string) (V, bool)
+	// Store offers a freshly recorded value to the backing tier.
+	Store(addr string, v V)
+}
+
+// newLRU returns a cache holding at most maxBytes (DefaultCacheBytes
+// when maxBytes <= 0), charging size(v) per entry. When reg is non-nil
+// the cache publishes <prefix>_{records,hits,fetches,evictions}_total
+// and the <prefix>_cache_bytes gauge.
+func newLRU[V any](maxBytes int64, reg *obs.Registry, prefix string, size func(V) int64) *LRU[V] {
+	if maxBytes <= 0 {
+		maxBytes = DefaultCacheBytes
+	}
+	c := &LRU[V]{
+		max:     maxBytes,
+		size:    size,
+		entries: make(map[string]*list.Element),
+		lru:     list.New(),
+		flights: make(map[string]*flight[V]),
+	}
+	if reg != nil {
+		c.records = reg.Counter(prefix+"_records_total", nil)
+		c.hits = reg.Counter(prefix+"_hits_total", nil)
+		c.fetches = reg.Counter(prefix+"_fetches_total", nil)
+		c.evictions = reg.Counter(prefix+"_evictions_total", nil)
+		c.gauge = reg.Gauge(prefix+"_cache_bytes", nil)
+	}
+	return c
 }
 
 // SetBacking installs (or clears, with nil) the cache's second-level
-// store. Safe to call concurrently with cache use; traces already
+// store. Safe to call concurrently with cache use; values already
 // resident are unaffected.
-func (c *Cache) SetBacking(b Backing) {
+func (c *LRU[V]) SetBacking(b Backing[V]) {
 	c.mu.Lock()
 	c.backing = b
 	c.mu.Unlock()
 }
 
-// NewCache returns a cache holding at most maxBytes of trace data
-// (DefaultCacheBytes when maxBytes <= 0). When reg is non-nil the cache
-// publishes specctrl_trace_{records,hits,evictions}_total and the
-// specctrl_trace_cache_bytes gauge.
-func NewCache(maxBytes int64, reg *obs.Registry) *Cache {
-	if maxBytes <= 0 {
-		maxBytes = DefaultCacheBytes
-	}
-	c := &Cache{
-		max:     maxBytes,
-		entries: make(map[string]*list.Element),
-		lru:     list.New(),
-		flights: make(map[string]*traceFlight),
-	}
-	if reg != nil {
-		c.records = reg.Counter("specctrl_trace_records_total", nil)
-		c.hits = reg.Counter("specctrl_trace_hits_total", nil)
-		c.fetches = reg.Counter("specctrl_trace_fetches_total", nil)
-		c.evictions = reg.Counter("specctrl_trace_evictions_total", nil)
-		c.gauge = reg.Gauge("specctrl_trace_cache_bytes", nil)
-	}
-	return c
-}
-
 // Bytes returns the currently retained byte count.
-func (c *Cache) Bytes() int64 {
+func (c *LRU[V]) Bytes() int64 {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return c.bytes
 }
 
-// Len returns the number of resident traces.
-func (c *Cache) Len() int {
+// Len returns the number of resident values.
+func (c *LRU[V]) Len() int {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	return len(c.entries)
@@ -129,126 +132,118 @@ func (c *Cache) Len() int {
 type Outcome string
 
 const (
-	// OutcomeHit: the trace was resident in the cache.
+	// OutcomeHit: the value was resident in the cache.
 	OutcomeHit Outcome = "hit"
 	// OutcomeRecord: this call ran the record function.
 	OutcomeRecord Outcome = "record"
 	// OutcomeWait: another caller was already recording; this call
 	// waited for that flight and shared its result.
 	OutcomeWait Outcome = "wait"
-	// OutcomeFetch: the trace came from the backing tier (another
+	// OutcomeFetch: the value came from the backing tier (another
 	// node's recording) instead of a local recording.
 	OutcomeFetch Outcome = "fetch"
 )
 
-// GetOrRecord returns the trace cached under addr, running record to
-// produce it on a miss. The returned Trace and Stats are shared and
-// must be treated as immutable (Replay never mutates its trace; the
-// stats are the base run's and callers clone what they modify).
-func (c *Cache) GetOrRecord(addr string, record func() (*Trace, *pipeline.Stats, error)) (*Trace, *pipeline.Stats, error) {
-	t, st, _, err := c.GetOrRecordOutcome(addr, record)
-	return t, st, err
+// GetOrRecord returns the value cached under addr, running record to
+// produce it on a miss.
+func (c *LRU[V]) GetOrRecord(addr string, record func() (V, error)) (V, error) {
+	v, _, err := c.GetOrRecordOutcome(addr, record)
+	return v, err
 }
 
 // GetOrRecordOutcome is GetOrRecord plus a report of how the request
-// was satisfied: a resident hit, a fresh recording, or a wait on
-// another caller's in-flight recording.
-func (c *Cache) GetOrRecordOutcome(addr string, record func() (*Trace, *pipeline.Stats, error)) (*Trace, *pipeline.Stats, Outcome, error) {
+// was satisfied: a resident hit, a fresh recording, a wait on another
+// caller's in-flight recording, or a fetch from the backing tier.
+func (c *LRU[V]) GetOrRecordOutcome(addr string, record func() (V, error)) (V, Outcome, error) {
 	c.mu.Lock()
 	if el, ok := c.entries[addr]; ok {
 		c.lru.MoveToFront(el)
-		e := el.Value.(*cacheEntry)
+		v := el.Value.(*entry[V]).val
 		c.mu.Unlock()
-		if c.hits != nil {
-			c.hits.Inc()
-		}
-		return e.trace, e.stats, OutcomeHit, nil
+		inc(c.hits)
+		return v, OutcomeHit, nil
 	}
 	if f, ok := c.flights[addr]; ok {
 		c.mu.Unlock()
 		<-f.done
-		if f.err == nil && c.hits != nil {
-			c.hits.Inc()
+		if f.err == nil {
+			inc(c.hits)
 		}
-		return f.trace, f.stats, OutcomeWait, f.err
+		return f.val, OutcomeWait, f.err
 	}
-	f := &traceFlight{done: make(chan struct{})}
+	f := &flight[V]{done: make(chan struct{})}
 	c.flights[addr] = f
 	backing := c.backing
 	c.mu.Unlock()
 
 	outcome := OutcomeRecord
 	if backing != nil {
-		if t, st, ok := backing.Fetch(addr); ok {
-			f.trace, f.stats = t, st
+		if v, ok := backing.Fetch(addr); ok {
+			f.val = v
 			outcome = OutcomeFetch
 		}
 	}
 	if outcome != OutcomeFetch {
-		f.trace, f.stats, f.err = record()
+		f.val, f.err = record()
 	}
 
 	c.mu.Lock()
 	delete(c.flights, addr)
 	if f.err == nil {
-		c.insertLocked(addr, f.trace, f.stats)
+		c.insertLocked(addr, f.val)
 	}
 	c.mu.Unlock()
 	close(f.done)
 	if f.err == nil {
 		switch outcome {
 		case OutcomeFetch:
-			if c.fetches != nil {
-				c.fetches.Inc()
-			}
+			inc(c.fetches)
 		case OutcomeRecord:
-			if c.records != nil {
-				c.records.Inc()
-			}
+			inc(c.records)
 			if backing != nil {
 				// Best-effort write-through: a recording made here
 				// becomes every other node's fetch hit.
-				backing.Store(addr, f.trace, f.stats)
+				backing.Store(addr, f.val)
 			}
 		}
 	}
-	return f.trace, f.stats, outcome, f.err
+	return f.val, outcome, f.err
 }
 
-// Get returns the trace resident under addr without recording on a
+// Get returns the value resident under addr without recording on a
 // miss and without consulting the backing tier. It counts as a use for
 // LRU purposes but not as a hit in the metrics.
-func (c *Cache) Get(addr string) (*Trace, *pipeline.Stats, bool) {
+func (c *LRU[V]) Get(addr string) (V, bool) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	el, ok := c.entries[addr]
 	if !ok {
-		return nil, nil, false
+		var zero V
+		return zero, false
 	}
 	c.lru.MoveToFront(el)
-	e := el.Value.(*cacheEntry)
-	return e.trace, e.stats, true
+	return el.Value.(*entry[V]).val, true
 }
 
-// Put inserts a trace produced elsewhere (e.g. uploaded by a cluster
+// Put inserts a value produced elsewhere (e.g. uploaded by a cluster
 // worker) under addr, subject to the usual LRU budget. An existing
-// entry is left in place: the trace at an address is deterministic, so
+// entry is left in place: the value at an address is deterministic, so
 // first write wins and the duplicate is dropped.
-func (c *Cache) Put(addr string, t *Trace, st *pipeline.Stats) {
+func (c *LRU[V]) Put(addr string, v V) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
 	if _, ok := c.entries[addr]; ok {
 		return
 	}
-	c.insertLocked(addr, t, st)
+	c.insertLocked(addr, v)
 }
 
 // insertLocked adds an entry and evicts from the LRU tail until the
-// budget holds again. A trace larger than the whole budget is evicted
-// immediately after insertion — the caller already holds the returned
-// pointers, so the only cost is that the next request re-records.
-func (c *Cache) insertLocked(addr string, t *Trace, st *pipeline.Stats) {
-	e := &cacheEntry{addr: addr, trace: t, stats: st, bytes: int64(t.Bytes()) + statsFootprint}
+// budget holds again. A value larger than the whole budget is evicted
+// immediately after insertion — the caller already holds it, so the
+// only cost is that the next request re-records.
+func (c *LRU[V]) insertLocked(addr string, v V) {
+	e := &entry[V]{addr: addr, val: v, bytes: c.size(v)}
 	c.entries[addr] = c.lru.PushFront(e)
 	c.bytes += e.bytes
 	for c.bytes > c.max {
@@ -256,18 +251,69 @@ func (c *Cache) insertLocked(addr string, t *Trace, st *pipeline.Stats) {
 		if tail == nil {
 			break
 		}
-		victim := c.lru.Remove(tail).(*cacheEntry)
+		victim := c.lru.Remove(tail).(*entry[V])
 		delete(c.entries, victim.addr)
 		c.bytes -= victim.bytes
-		if c.evictions != nil {
-			c.evictions.Inc()
-		}
+		inc(c.evictions)
 	}
 	if c.gauge != nil {
 		c.gauge.SetUint(uint64(c.bytes))
 	}
 }
 
+// inc bumps a counter that is nil when the cache has no registry.
+func inc(c *obs.Counter) {
+	if c != nil {
+		c.Inc()
+	}
+}
+
+// Recording is the event tier's cached value: a recorded trace plus
+// the base Stats of the run that recorded it. Both are shared and
+// immutable (Replay never mutates its trace; callers clone the stats
+// before modifying them).
+type Recording struct {
+	Trace *Trace
+	Stats *pipeline.Stats
+}
+
 // statsFootprint approximates the retained size of one pipeline.Stats
 // (fixed-size histograms and quadrant counters) for budget accounting.
 const statsFootprint = 4096
+
+// Cache is the event tier: recorded speculative-event traces keyed by
+// TraceAddress. It is the generic LRU over Recording, with a Get that
+// unpacks the pair.
+type Cache struct {
+	*LRU[Recording]
+}
+
+// NewCache returns an event-tier cache holding at most maxBytes of
+// trace data (DefaultCacheBytes when maxBytes <= 0), publishing the
+// specctrl_trace_* metrics when reg is non-nil.
+func NewCache(maxBytes int64, reg *obs.Registry) *Cache {
+	return &Cache{newLRU(maxBytes, reg, "specctrl_trace", func(r Recording) int64 {
+		return int64(r.Trace.Bytes()) + statsFootprint
+	})}
+}
+
+// Get returns the trace and base stats resident under addr; see
+// LRU.Get.
+func (c *Cache) Get(addr string) (*Trace, *pipeline.Stats, bool) {
+	r, ok := c.LRU.Get(addr)
+	return r.Trace, r.Stats, ok
+}
+
+// ArchCache is the arch tier: committed branch-outcome streams keyed
+// by ArchTraceAddress. It carries no stats sidecar — the
+// committed-instruction count rides inside the ArchTrace.
+type ArchCache = LRU[*ArchTrace]
+
+// NewArchCache returns an arch-tier cache holding at most maxBytes
+// (DefaultCacheBytes when maxBytes <= 0), publishing the
+// specctrl_archtrace_* metrics when reg is non-nil.
+func NewArchCache(maxBytes int64, reg *obs.Registry) *ArchCache {
+	return newLRU(maxBytes, reg, "specctrl_archtrace", func(t *ArchTrace) int64 {
+		return int64(t.Bytes())
+	})
+}

@@ -11,63 +11,128 @@ import (
 	"specctrl/internal/pipeline"
 )
 
-// fakeRecord returns a record func producing a synthetic trace of the
-// given size, counting invocations.
-func fakeRecord(calls *atomic.Int64, n int) func() (*Trace, *pipeline.Stats, error) {
-	return func() (*Trace, *pipeline.Stats, error) {
+// The cache tests below are written once against the generic LRU and
+// run against both tiers: TestCacheX exercises the event tier and
+// TestArchCacheX the arch tier.
+
+// tier adapts one cache tier to the shared tests.
+type tier[V comparable] struct {
+	prefix string // metric prefix
+	new    func(int64, *obs.Registry) *LRU[V]
+	value  func(n int) V // a synthetic value of about n branches
+}
+
+var eventTier = tier[Recording]{
+	prefix: "specctrl_trace",
+	new:    func(max int64, reg *obs.Registry) *LRU[Recording] { return NewCache(max, reg).LRU },
+	value: func(n int) Recording {
+		return Recording{recordSynthetic(n), &pipeline.Stats{Committed: uint64(n)}}
+	},
+}
+
+var archTier = tier[*ArchTrace]{
+	prefix: "specctrl_archtrace",
+	new:    NewArchCache,
+	value:  archSynthetic,
+}
+
+// recorder returns a record func producing a fresh synthetic value of
+// size n, counting invocations.
+func (h tier[V]) recorder(calls *atomic.Int64, n int) func() (V, error) {
+	return func() (V, error) {
 		calls.Add(1)
-		return recordSynthetic(n), &pipeline.Stats{Committed: uint64(n)}, nil
+		return h.value(n), nil
 	}
 }
 
-// TestCacheHit: the second Get for an address returns the first's
-// result without recording again.
-func TestCacheHit(t *testing.T) {
-	c := NewCache(0, nil)
+// fakeBacking is an in-memory Backing with call counters, standing in
+// for a cluster coordinator's tier.
+type fakeBacking[V any] struct {
+	mu      sync.Mutex
+	vals    map[string]V
+	fetches atomic.Int64
+	stores  atomic.Int64
+}
+
+func (b *fakeBacking[V]) Fetch(addr string) (V, bool) {
+	b.fetches.Add(1)
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	v, ok := b.vals[addr]
+	return v, ok
+}
+
+func (b *fakeBacking[V]) Store(addr string, v V) {
+	b.stores.Add(1)
+	b.mu.Lock()
+	defer b.mu.Unlock()
+	b.vals[addr] = v
+}
+
+// metricsDump flattens a registry snapshot into name → value (summing
+// across label sets; the cache metrics are unlabelled).
+func metricsDump(reg *obs.Registry) map[string]float64 {
+	out := map[string]float64{}
+	for _, m := range reg.Snapshot() {
+		out[m.Name] += m.Value
+	}
+	return out
+}
+
+// Hit: the second request for an address returns the first's result
+// without recording again.
+func TestCacheHit(t *testing.T)     { testHit(t, eventTier) }
+func TestArchCacheHit(t *testing.T) { testHit(t, archTier) }
+
+func testHit[V comparable](t *testing.T, h tier[V]) {
+	c := h.new(0, nil)
 	var calls atomic.Int64
-	tr1, st1, err := c.GetOrRecord("a", fakeRecord(&calls, 100))
+	v1, err := c.GetOrRecord("a", h.recorder(&calls, 100))
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr2, st2, err := c.GetOrRecord("a", fakeRecord(&calls, 100))
+	v2, err := c.GetOrRecord("a", h.recorder(&calls, 100))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if calls.Load() != 1 {
 		t.Fatalf("recorded %d times, want 1", calls.Load())
 	}
-	if tr1 != tr2 || st1 != st2 {
-		t.Fatal("hit returned different pointers than the recording")
+	if v1 != v2 {
+		t.Fatal("hit returned a different value than the recording")
 	}
 	if c.Len() != 1 || c.Bytes() <= 0 {
 		t.Fatalf("Len=%d Bytes=%d after one insert", c.Len(), c.Bytes())
 	}
 }
 
-// TestCacheSingleflight: concurrent Gets for one address record once;
-// everyone gets the same trace.
-func TestCacheSingleflight(t *testing.T) {
-	c := NewCache(0, nil)
+// Singleflight: concurrent requests for one address record once;
+// everyone gets the same value.
+func TestCacheSingleflight(t *testing.T)     { testSingleflight(t, eventTier) }
+func TestArchCacheSingleflight(t *testing.T) { testSingleflight(t, archTier) }
+
+func testSingleflight[V comparable](t *testing.T, h tier[V]) {
+	c := h.new(0, nil)
 	var calls atomic.Int64
 	gate := make(chan struct{})
-	record := func() (*Trace, *pipeline.Stats, error) {
+	record := func() (V, error) {
 		calls.Add(1)
 		<-gate // hold the flight open until all goroutines have queued
-		return recordSynthetic(50), &pipeline.Stats{}, nil
+		return h.value(50), nil
 	}
 
 	const waiters = 8
 	var wg sync.WaitGroup
-	results := make([]*Trace, waiters)
+	results := make([]V, waiters)
 	for i := 0; i < waiters; i++ {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			tr, _, err := c.GetOrRecord("addr", record)
+			v, err := c.GetOrRecord("addr", record)
 			if err != nil {
 				t.Error(err)
 			}
-			results[i] = tr
+			results[i] = v
 		}(i)
 	}
 	// Let the flight's followers pile up, then release the recording.
@@ -81,18 +146,22 @@ func TestCacheSingleflight(t *testing.T) {
 	}
 	for i := 1; i < waiters; i++ {
 		if results[i] != results[0] {
-			t.Fatal("waiters received different traces")
+			t.Fatal("waiters received different values")
 		}
 	}
 }
 
-// TestCacheRecordError: a failed recording is not cached and does not
-// wedge the flight — the next caller retries.
-func TestCacheRecordError(t *testing.T) {
-	c := NewCache(0, nil)
+// RecordError: a failed recording is not cached and does not wedge the
+// flight — the next caller retries.
+func TestCacheRecordError(t *testing.T)     { testRecordError(t, eventTier) }
+func TestArchCacheRecordError(t *testing.T) { testRecordError(t, archTier) }
+
+func testRecordError[V comparable](t *testing.T, h tier[V]) {
+	c := h.new(0, nil)
 	boom := errors.New("boom")
-	if _, _, err := c.GetOrRecord("a", func() (*Trace, *pipeline.Stats, error) {
-		return nil, nil, boom
+	if _, err := c.GetOrRecord("a", func() (V, error) {
+		var zero V
+		return zero, boom
 	}); !errors.Is(err, boom) {
 		t.Fatalf("got %v, want the recording error", err)
 	}
@@ -100,7 +169,7 @@ func TestCacheRecordError(t *testing.T) {
 		t.Fatal("failed recording was cached")
 	}
 	var calls atomic.Int64
-	if _, _, err := c.GetOrRecord("a", fakeRecord(&calls, 10)); err != nil {
+	if _, err := c.GetOrRecord("a", h.recorder(&calls, 10)); err != nil {
 		t.Fatalf("retry after failure: %v", err)
 	}
 	if calls.Load() != 1 {
@@ -108,25 +177,29 @@ func TestCacheRecordError(t *testing.T) {
 	}
 }
 
-// TestCacheLRUEviction: inserts beyond the byte budget evict the least
-// recently used entries, and the metrics see every step.
-func TestCacheLRUEviction(t *testing.T) {
+// LRUEviction: inserts beyond the byte budget evict the least recently
+// used entries, and the tier's metrics see every step.
+func TestCacheLRUEviction(t *testing.T)     { testLRUEviction(t, eventTier) }
+func TestArchCacheLRUEviction(t *testing.T) { testLRUEviction(t, archTier) }
+
+func testLRUEviction[V comparable](t *testing.T, h tier[V]) {
 	reg := obs.NewRegistry()
-	// Budget two synthetic traces (plus stats footprints), not three.
-	one := recordSynthetic(5000).Bytes()
-	c := NewCache(int64(2*(one+statsFootprint)+one/2), reg)
+	// Budget two synthetic values, not three.
+	one := h.new(0, nil).size(h.value(5000))
+	budget := 2*one + one/2
+	c := h.new(budget, reg)
 
 	var calls atomic.Int64
 	for _, addr := range []string{"a", "b"} {
-		if _, _, err := c.GetOrRecord(addr, fakeRecord(&calls, 5000)); err != nil {
+		if _, err := c.GetOrRecord(addr, h.recorder(&calls, 5000)); err != nil {
 			t.Fatal(err)
 		}
 	}
 	// Touch "a" so "b" is the LRU victim when "c" arrives.
-	if _, _, err := c.GetOrRecord("a", fakeRecord(&calls, 5000)); err != nil {
+	if _, err := c.GetOrRecord("a", h.recorder(&calls, 5000)); err != nil {
 		t.Fatal(err)
 	}
-	if _, _, err := c.GetOrRecord("c", fakeRecord(&calls, 5000)); err != nil {
+	if _, err := c.GetOrRecord("c", h.recorder(&calls, 5000)); err != nil {
 		t.Fatal(err)
 	}
 	if c.Len() != 2 {
@@ -136,73 +209,178 @@ func TestCacheLRUEviction(t *testing.T) {
 	// "a" and "c" resident, "b" evicted: re-requesting "b" records anew.
 	before := calls.Load()
 	for _, addr := range []string{"a", "c"} {
-		if _, _, err := c.GetOrRecord(addr, fakeRecord(&calls, 5000)); err != nil {
+		if _, err := c.GetOrRecord(addr, h.recorder(&calls, 5000)); err != nil {
 			t.Fatal(err)
 		}
 	}
 	if calls.Load() != before {
 		t.Fatal("resident entries re-recorded")
 	}
-	if _, _, err := c.GetOrRecord("b", fakeRecord(&calls, 5000)); err != nil {
+	if _, err := c.GetOrRecord("b", h.recorder(&calls, 5000)); err != nil {
 		t.Fatal(err)
 	}
 	if calls.Load() != before+1 {
 		t.Fatal("evicted entry did not re-record")
 	}
-
-	if max := c.Bytes(); max > int64(2*(one+statsFootprint)+one/2) {
-		t.Fatalf("cache holds %d bytes, over its %d budget", max, 2*(one+statsFootprint)+one/2)
+	if got := c.Bytes(); got > budget {
+		t.Fatalf("cache holds %d bytes, over its %d budget", got, budget)
 	}
 
 	// The sequence above was: miss a, miss b, hit a, miss c (evict b),
 	// hit a, hit c, miss b (evict a) — the counters must agree.
 	dump := metricsDump(reg)
-	if got := dump["specctrl_trace_records_total"]; got != float64(calls.Load()) {
+	if got := dump[h.prefix+"_records_total"]; got != float64(calls.Load()) {
 		t.Errorf("records_total = %v, want %d", got, calls.Load())
 	}
-	if got := dump["specctrl_trace_hits_total"]; got != 3 {
+	if got := dump[h.prefix+"_hits_total"]; got != 3 {
 		t.Errorf("hits_total = %v, want 3", got)
 	}
-	if got := dump["specctrl_trace_evictions_total"]; got != 2 {
+	if got := dump[h.prefix+"_evictions_total"]; got != 2 {
 		t.Errorf("evictions_total = %v, want 2", got)
 	}
-	if got := dump["specctrl_trace_cache_bytes"]; got != float64(c.Bytes()) {
+	if got := dump[h.prefix+"_cache_bytes"]; got != float64(c.Bytes()) {
 		t.Errorf("cache_bytes gauge = %v, Bytes() = %d", got, c.Bytes())
 	}
 }
 
-// metricsDump flattens a registry snapshot into name → value (summing
-// across label sets; the trace metrics are unlabelled).
-func metricsDump(reg *obs.Registry) map[string]float64 {
-	out := map[string]float64{}
-	for _, m := range reg.Snapshot() {
-		out[m.Name] += m.Value
-	}
-	return out
-}
+// DefaultBudget: a zero or negative budget selects the package default.
+func TestCacheDefaultBudget(t *testing.T)     { testDefaultBudget(t, eventTier) }
+func TestArchCacheDefaultBudget(t *testing.T) { testDefaultBudget(t, archTier) }
 
-// TestCacheDefaultBudget: a zero budget selects the package default.
-func TestCacheDefaultBudget(t *testing.T) {
-	c := NewCache(0, nil)
-	if c.max != DefaultCacheBytes {
+func testDefaultBudget[V comparable](t *testing.T, h tier[V]) {
+	if c := h.new(0, nil); c.max != DefaultCacheBytes {
 		t.Fatalf("zero budget gave max=%d, want DefaultCacheBytes", c.max)
 	}
-	if c := NewCache(-5, nil); c.max != DefaultCacheBytes {
+	if c := h.new(-5, nil); c.max != DefaultCacheBytes {
 		t.Fatal("negative budget did not select the default")
 	}
 }
 
-// TestCacheManyAddresses smoke-tests churn well past the budget.
-func TestCacheManyAddresses(t *testing.T) {
-	one := recordSynthetic(1000).Bytes()
-	c := NewCache(int64(3*(one+statsFootprint)), nil)
+// ManyAddresses smoke-tests churn well past the budget.
+func TestCacheManyAddresses(t *testing.T)     { testManyAddresses(t, eventTier) }
+func TestArchCacheManyAddresses(t *testing.T) { testManyAddresses(t, archTier) }
+
+func testManyAddresses[V comparable](t *testing.T, h tier[V]) {
+	one := h.new(0, nil).size(h.value(1000))
+	c := h.new(3*one, nil)
 	var calls atomic.Int64
 	for i := 0; i < 20; i++ {
-		if _, _, err := c.GetOrRecord(fmt.Sprint("w", i%7), fakeRecord(&calls, 1000)); err != nil {
+		if _, err := c.GetOrRecord(fmt.Sprint("w", i%7), h.recorder(&calls, 1000)); err != nil {
 			t.Fatal(err)
 		}
 		if c.Len() > 3 {
 			t.Fatalf("cache grew to %d entries over its 3-entry budget", c.Len())
 		}
+	}
+}
+
+// BackingFetch: a local miss that the backing tier can serve comes back
+// as OutcomeFetch, without running the record function, and becomes
+// resident (the next call is a plain hit).
+func TestCacheBackingFetch(t *testing.T)     { testBackingFetch(t, eventTier) }
+func TestArchCacheBackingFetch(t *testing.T) { testBackingFetch(t, archTier) }
+
+func testBackingFetch[V comparable](t *testing.T, h tier[V]) {
+	reg := obs.NewRegistry()
+	remote := h.value(80)
+	b := &fakeBacking[V]{vals: map[string]V{"a": remote}}
+	c := h.new(0, reg)
+	c.SetBacking(b)
+	var calls atomic.Int64
+	v, outcome, err := c.GetOrRecordOutcome("a", h.recorder(&calls, 80))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if outcome != OutcomeFetch {
+		t.Fatalf("outcome %s, want fetch", outcome)
+	}
+	if calls.Load() != 0 {
+		t.Fatalf("record ran %d times on a backing hit", calls.Load())
+	}
+	if v != remote {
+		t.Fatal("fetch returned a different value than the backing tier holds")
+	}
+	// Resident now: no second Fetch.
+	if _, outcome, err = c.GetOrRecordOutcome("a", h.recorder(&calls, 80)); err != nil {
+		t.Fatal(err)
+	}
+	if outcome != OutcomeHit {
+		t.Fatalf("second outcome %s, want hit", outcome)
+	}
+	if b.fetches.Load() != 1 {
+		t.Fatalf("backing fetched %d times, want 1", b.fetches.Load())
+	}
+	dump := metricsDump(reg)
+	if got := dump[h.prefix+"_fetches_total"]; got != 1 {
+		t.Errorf("fetches_total = %v, want 1", got)
+	}
+	if got := dump[h.prefix+"_hits_total"]; got != 1 {
+		t.Errorf("hits_total = %v, want 1", got)
+	}
+}
+
+// BackingWriteThrough: a fresh local recording is offered to the
+// backing tier, and a backing miss falls through to recording.
+func TestCacheBackingWriteThrough(t *testing.T)     { testBackingWriteThrough(t, eventTier) }
+func TestArchCacheBackingWriteThrough(t *testing.T) { testBackingWriteThrough(t, archTier) }
+
+func testBackingWriteThrough[V comparable](t *testing.T, h tier[V]) {
+	b := &fakeBacking[V]{vals: map[string]V{}}
+	c := h.new(0, nil)
+	c.SetBacking(b)
+	var calls atomic.Int64
+	v, outcome, err := c.GetOrRecordOutcome("a", h.recorder(&calls, 60))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if outcome != OutcomeRecord {
+		t.Fatalf("outcome %s, want record", outcome)
+	}
+	if calls.Load() != 1 {
+		t.Fatalf("record ran %d times, want 1", calls.Load())
+	}
+	if b.stores.Load() != 1 {
+		t.Fatalf("write-through stored %d times, want 1", b.stores.Load())
+	}
+	b.mu.Lock()
+	stored, ok := b.vals["a"]
+	b.mu.Unlock()
+	if !ok || stored != v {
+		t.Fatal("recorded value missing from the backing tier")
+	}
+}
+
+// GetPut: Get peeks without recording; Put inserts a worker-uploaded
+// value and leaves an existing entry alone (first write wins — the
+// value at an address is deterministic).
+func TestCacheGetPut(t *testing.T) {
+	testGetPut(t, eventTier)
+	// Cache.Get unpacks the Recording into the (trace, stats) pair.
+	c := NewCache(0, nil)
+	r := eventTier.value(40)
+	c.Put("a", r)
+	if tr, st, ok := c.Get("a"); !ok || tr != r.Trace || st != r.Stats {
+		t.Fatal("Cache.Get did not return the Put trace and stats")
+	}
+}
+func TestArchCacheGetPut(t *testing.T) { testGetPut(t, archTier) }
+
+func testGetPut[V comparable](t *testing.T, h tier[V]) {
+	c := h.new(0, nil)
+	if _, ok := c.Get("a"); ok {
+		t.Fatal("Get hit an empty cache")
+	}
+	first := h.value(40)
+	c.Put("a", first)
+	if v, ok := c.Get("a"); !ok || v != first {
+		t.Fatal("Get did not return the Put value")
+	}
+	// A duplicate Put must not replace the resident entry.
+	c.Put("a", h.value(40))
+	if v, _ := c.Get("a"); v != first {
+		t.Fatal("duplicate Put replaced the resident value")
+	}
+	if c.Len() != 1 {
+		t.Fatalf("Len=%d after duplicate Put, want 1", c.Len())
 	}
 }

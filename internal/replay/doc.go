@@ -61,6 +61,9 @@
 // the identical stream and share one evaluation loop.
 //
 // Each tier has a binary codec (magics "SPRT" and "SPAT") for shipping
-// traces between cluster nodes, and an LRU cache (Cache, ArchCache)
-// with singleflight recording and an optional backing tier.
+// traces between cluster nodes. Both tiers share one cache substrate,
+// the generic retained-bytes LRU with singleflight recording and an
+// optional Backing; Cache (the event tier, over Recording) and
+// ArchCache (the arch tier) differ only in value type, size function
+// and metric prefix.
 package replay

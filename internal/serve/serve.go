@@ -46,18 +46,14 @@ type Config struct {
 	// MaxCommitted selects experiments.DefaultParams(). Per-request
 	// overrides (committed, baseSeed) apply on top.
 	Params experiments.Params
-	// TraceCacheBytes bounds the in-process replay trace cache New
-	// installs on Params when Params.TraceCache is nil (0 selects
-	// replay.DefaultCacheBytes). The cache is LRU by retained bytes, so
-	// a long-running server's memory stays bounded no matter how many
-	// distinct (workload, predictor, scale) traces jobs record.
+	// TraceCacheBytes bounds each in-process replay cache New installs
+	// on Params when Params.TraceCache or Params.ArchCache is nil: the
+	// event-trace tier and the arch-trace tier each get this budget
+	// (0 selects replay.DefaultCacheBytes), matching -trace-cache-mb.
+	// The caches are LRU by retained bytes, so a long-running server's
+	// memory stays bounded no matter how many distinct traces jobs
+	// record.
 	TraceCacheBytes int64
-	// ArchCacheBytes bounds the in-process arch-trace cache New installs
-	// on Params when Params.ArchCache is nil (0 selects
-	// replay.DefaultCacheBytes). Arch traces are the upstream committed
-	// branch-outcome streams; like the event-trace cache the budget is
-	// retained bytes under LRU.
-	ArchCacheBytes int64
 	// Registry receives the service metrics (created when nil). It is
 	// also what /metrics on the server's mux exposes.
 	Registry *obs.Registry
@@ -155,7 +151,7 @@ func New(cfg Config) (*Server, error) {
 		cfg.Params.TraceCache = replay.NewCache(cfg.TraceCacheBytes, cfg.Registry)
 	}
 	if cfg.Params.ArchCache == nil {
-		cfg.Params.ArchCache = replay.NewArchCache(cfg.ArchCacheBytes, cfg.Registry)
+		cfg.Params.ArchCache = replay.NewArchCache(cfg.TraceCacheBytes, cfg.Registry)
 	}
 	if cfg.runExperiment == nil {
 		if cfg.RunExperiment != nil {

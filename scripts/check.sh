@@ -186,7 +186,8 @@ SERVED_PID=""
 
 # Cluster smoke: a coordinator + 2 real worker processes must render
 # byte-identically to the local run, keep doing so after a worker is
-# SIGKILLed mid-job, and show cross-node cache-tier traffic on /metrics.
+# SIGKILLed mid-job, and show cross-node traffic on all three cache
+# tiers (cell, event trace, arch trace) on /metrics.
 "$SMOKE/simserved" -coordinator -addr 127.0.0.1:0 -addr-file "$SMOKE/caddr" \
     -cache-dir "$SMOKE/ccache" -committed 60000 -heartbeat 250ms \
     2> "$SMOKE/coordinator.log" &
@@ -218,6 +219,18 @@ cmp "$SMOKE/local.txt" "$SMOKE/cluster2.txt"
 CELL_HITS=$(curl -s "$CURL/metrics" | awk '/^specctrl_cluster_cell_hits_total/ {print $2}')
 [ -n "$CELL_HITS" ] && [ "$CELL_HITS" -ge 1 ] || {
     echo "check.sh: no cross-node cell-cache hits after a resubmission (got '$CELL_HITS')" >&2
+    exit 1
+}
+# Event-trace tier: jrsmcf replays McFarling event traces, so the
+# workers' recordings must be written through to the coordinator's
+# trace tier — with the cell and arch checks, every tier of the blob
+# route is exercised by real processes.
+"$SMOKE/simctrl" -exp jrsmcf -committed 60000 > "$SMOKE/jrsmcf-local.txt"
+"$SMOKE/simctrl" -server "$CURL" -exp jrsmcf -committed 60000 > "$SMOKE/jrsmcf-cluster.txt"
+cmp "$SMOKE/jrsmcf-local.txt" "$SMOKE/jrsmcf-cluster.txt"
+TRACE_PUTS=$(curl -s "$CURL/metrics" | awk '/^specctrl_cluster_trace_puts_total/ {print $2}')
+[ -n "$TRACE_PUTS" ] && [ "$TRACE_PUTS" -ge 1 ] || {
+    echo "check.sh: no event traces were written through to the coordinator (got '$TRACE_PUTS')" >&2
     exit 1
 }
 
