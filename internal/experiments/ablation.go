@@ -8,7 +8,6 @@ import (
 	"specctrl/internal/bpred"
 	"specctrl/internal/conf"
 	"specctrl/internal/gating"
-	"specctrl/internal/isa"
 	"specctrl/internal/metrics"
 	"specctrl/internal/pipeline"
 	"specctrl/internal/policy"
@@ -182,84 +181,45 @@ type AblationGatingResult struct {
 	Points []GatingPoint
 }
 
-// AblationGating sweeps gating thresholds 1..3 with three estimator
-// choices over the suite, using gshare.
-func AblationGating(p Params) (*AblationGatingResult, error) {
-	ests := []struct {
-		name string
-		mk   func() conf.Estimator
-	}{
+// gatingThresholds are the gate:t operating points abl-gating sweeps.
+var gatingThresholds = []int{1, 2, 3}
+
+// gatingEstimators are the confidence sources abl-gating gates on.
+func gatingEstimators() []namedEstimator {
+	return []namedEstimator{
 		{"JRS(t=15)", func() conf.Estimator { return conf.NewJRS(conf.DefaultJRS) }},
 		{"SatCnt", func() conf.Estimator { return conf.SatCounters{} }},
 		{"Dist(>3)", func() conf.Estimator { return conf.NewDistance(3) }},
 	}
-	// One cell per (estimator, threshold); each cell rebuilds its own
-	// program set (builders are deterministic, so every cell sees
-	// identical programs).
-	var gridSpecs []runner.Spec
-	for _, e := range ests {
-		for thr := 1; thr <= 3; thr++ {
-			gridSpecs = append(gridSpecs, runner.Spec{
-				Experiment: "abl-gating", Workload: "suite", Predictor: "gshare",
-				Variant: fmt.Sprintf("%s-thr%d", e.name, thr),
-			})
-		}
+}
+
+// AblationGating sweeps gating thresholds 1..3 with three estimator
+// choices over the suite, using gshare, on the shared policy-sweep
+// grid: every gated run is compared against its workload's one
+// unpolicied baseline.
+func AblationGating(p Params) (*AblationGatingResult, error) {
+	ests := gatingEstimators()
+	policies := make([]string, len(gatingThresholds))
+	for i, thr := range gatingThresholds {
+		policies[i] = policy.Gating{Threshold: thr}.Name()
 	}
-	cells, err := p.runGrid(gridSpecs, func(_ context.Context, p Params, sp runner.Spec) (CellResult, error) {
-		var est struct {
-			name string
-			mk   func() conf.Estimator
-		}
-		var thr int
-		for _, e := range ests {
-			for t := 1; t <= 3; t++ {
-				if sp.Variant == fmt.Sprintf("%s-thr%d", e.name, t) {
-					est, thr = e, t
-				}
-			}
-		}
-		if thr == 0 {
-			return CellResult{}, fmt.Errorf("ablation gating: unknown variant %q", sp.Variant)
-		}
-		cfg := p.Pipeline
-		cfg.MaxCommitted = p.MaxCommitted
-		newPred := func() bpred.Predictor { return bpred.NewGshare(p.GshareBits) }
-		progs := map[string]*isa.Program{}
-		var order []string
-		for _, w := range suite() {
-			progs[w.Name] = buildProgram(w, p.BuildIters)
-			order = append(order, w.Name)
-		}
-		p.progress("gating %s threshold %d", est.name, thr)
-		sr, err := gating.EvaluateSuite(
-			gating.Config{Threshold: thr, Pipeline: cfg},
-			progs, policy.Factories{Predictor: newPred, Estimator: est.mk}, order)
-		if err != nil {
-			return CellResult{}, fmt.Errorf("ablation gating %s/%d: %w", est.name, thr, err)
-		}
-		var red, slow float64
-		for _, row := range sr.Rows {
-			red += row.ExtraWorkReduction
-			slow += row.Slowdown
-		}
-		n := float64(len(sr.Rows))
-		return CellResult{Extra: map[string]float64{
-			"reduction": red / n,
-			"slowdown":  slow / n,
-		}}, nil
-	})
+	sw, err := p.runPolicySweep("abl-gating", ests, policies)
 	if err != nil {
 		return nil, err
 	}
 	res := &AblationGatingResult{}
-	i := 0
-	for _, e := range ests {
-		for thr := 1; thr <= 3; thr++ {
+	for ei, e := range ests {
+		for ti, thr := range gatingThresholds {
+			var red, slow float64
+			for wi, gated := range sw.runs[ei][ti] {
+				r := gating.Result{Baseline: sw.base[wi], Gated: gated}
+				red += r.ExtraWorkReduction()
+				slow += r.Slowdown()
+			}
+			n := float64(len(sw.base))
 			res.Points = append(res.Points, GatingPoint{
-				Estimator: e.name, Threshold: thr,
-				Reduction: cells[i].Extra["reduction"], Slowdown: cells[i].Extra["slowdown"],
+				Estimator: e.name, Threshold: thr, Reduction: red / n, Slowdown: slow / n,
 			})
-			i++
 		}
 	}
 	return res, nil

@@ -294,15 +294,19 @@ func buildProgram(w workload.Workload, iters int) *isa.Program {
 }
 
 // runOne simulates one workload on one predictor with the given
-// estimators and returns the statistics. When Params carries an obs
-// registry or progress view, the run publishes live metrics under
-// {workload, predictor} labels.
+// estimators under p.Pipeline.Policy (none when nil) and returns the
+// statistics. When Params carries an obs registry or progress view, the
+// run publishes live metrics under {workload, predictor} labels.
 func (p Params) runOne(w workload.Workload, spec PredictorSpec, record bool, ests ...conf.Estimator) (*pipeline.Stats, error) {
 	var rs *span.Span
 	if p.Tracer != nil {
+		pol := "none"
+		if p.Pipeline.Policy != nil {
+			pol = p.Pipeline.Policy.Name()
+		}
 		rs = p.Tracer.Child(p.SpanParent, "simulate",
 			span.Str("workload", w.Name), span.Str("predictor", spec.Name),
-			span.Int("estimators", int64(len(ests))))
+			span.Int("estimators", int64(len(ests))), span.Str("policy", pol))
 		defer rs.End()
 	}
 	cfg := p.Pipeline
@@ -331,17 +335,18 @@ func (p Params) runOne(w workload.Workload, spec PredictorSpec, record bool, est
 	}
 	p.progress("run %-9s on %-9s (%d estimators)", w.Name, spec.Name, len(ests))
 	st, err := sim.Run()
-	if err == nil {
-		if rs != nil {
-			rs.SetAttrs(span.Int("cycles", int64(st.Cycles)))
-		}
-		if p.Obs != nil {
-			p.Obs.Histogram("specctrl_run_ipc", obs.Labels{"predictor": spec.Name}, ipcBounds).
-				Observe(st.IPC())
-			p.Obs.Counter("specctrl_runs_total", nil).Inc()
-		}
+	if err != nil {
+		return nil, err
 	}
-	return st, err
+	if rs != nil {
+		rs.SetAttrs(span.Int("cycles", int64(st.Cycles)))
+	}
+	if p.Obs != nil {
+		p.Obs.Histogram("specctrl_run_ipc", obs.Labels{"predictor": spec.Name}, ipcBounds).
+			Observe(st.IPC())
+		p.Obs.Counter("specctrl_runs_total", nil).Inc()
+	}
+	return st, nil
 }
 
 // staticFor runs the profiling pass and builds the static estimator for

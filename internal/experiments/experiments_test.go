@@ -430,7 +430,7 @@ func TestAblationSpecHistory(t *testing.T) {
 
 func TestAblationGating(t *testing.T) {
 	p := tp()
-	p.MaxCommitted = 60_000 // 2 runs per (estimator, threshold, app)
+	p.MaxCommitted = 60_000
 	r, err := AblationGating(p)
 	if err != nil {
 		t.Fatal(err)

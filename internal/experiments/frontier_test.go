@@ -58,17 +58,32 @@ func TestFrontierDeterminism(t *testing.T) {
 	}
 }
 
+// frontierCells is the frontier's grid size: one suite-sized cell per
+// (estimator, policy) plus the shared baseline cell.
+func frontierCells() int {
+	return 1 + len(frontierEstimators())*len(frontierPolicies())
+}
+
 // TestFrontierShardRoundTrip: sharded frontier runs return ErrShardOnly,
 // partition the cells without overlap, and merge back to the direct
 // render.
 func TestFrontierShardRoundTrip(t *testing.T) {
+	shardRoundTrip(t, frontierParams, frontierCells(),
+		func(p Params) (Renderer, error) { return Frontier(p) })
+}
+
+// shardRoundTrip runs an experiment as 3 shards, checks they partition
+// its want cells, and checks the merged cells render exactly what a
+// direct run renders, simulating nothing.
+func shardRoundTrip(t *testing.T, params func() Params, want int, run func(Params) (Renderer, error)) {
+	t.Helper()
 	merged := map[string]CellResult{}
 	total := 0
 	for i := 0; i < 3; i++ {
-		p := frontierParams()
+		p := params()
 		p.Shard.Index, p.Shard.Count = i, 3
 		p.Record = NewCellStore()
-		_, err := Frontier(p)
+		_, err := run(p)
 		if !errors.Is(err, ErrShardOnly) {
 			t.Fatalf("shard %d: got %v, want ErrShardOnly", i, err)
 		}
@@ -88,17 +103,17 @@ func TestFrontierShardRoundTrip(t *testing.T) {
 			merged[k] = c
 		}
 	}
-	if want := len(frontierEstimators()) * (1 + len(frontierPolicies())); total != want {
+	if total != want {
 		t.Fatalf("shards produced %d cells, want %d", total, want)
 	}
-	direct, err := Frontier(frontierParams())
+	direct, err := run(params())
 	if err != nil {
 		t.Fatal(err)
 	}
-	full := frontierParams()
+	full := params()
 	full.Cells = merged
 	full.Progress = func(msg string) { t.Fatalf("simulated despite preloaded cells: %s", msg) }
-	got, err := Frontier(full)
+	got, err := run(full)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -118,7 +133,7 @@ func TestFrontierCellCache(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	want := len(frontierEstimators()) * (1 + len(frontierPolicies()))
+	want := frontierCells()
 	if cc.computes != want {
 		t.Fatalf("first run computed %d cells, want %d", cc.computes, want)
 	}

@@ -15,7 +15,8 @@ import (
 )
 
 // CellResult is the serializable output of one grid cell: the pipeline
-// statistics of the cell's simulation plus any experiment-specific
+// statistics of the cell's simulation (or, for a suite-sized cell, of
+// each of its simulations in suite order) plus any experiment-specific
 // scalars that are computed from per-run state too large or too
 // transient to ship (for example boost's per-k group counts, which are
 // derived from the event log and recorded here so the log itself never
@@ -27,6 +28,7 @@ import (
 // byte-identical to assembly from in-memory ones.
 type CellResult struct {
 	Stats *pipeline.Stats    `json:"stats,omitempty"`
+	Runs  []*pipeline.Stats  `json:"runs,omitempty"`
 	Extra map[string]float64 `json:"extra,omitempty"`
 }
 
@@ -191,8 +193,17 @@ func (p Params) runGrid(specs []runner.Spec, cell CellFunc) ([]CellResult, error
 		}
 		if cs := span.FromContext(ctx); cs != nil {
 			cs.SetAttrs(span.Str("source", source))
+			cycles := uint64(0)
 			if c.Stats != nil {
-				cs.SetAttrs(span.Int("cycles", int64(c.Stats.Cycles)))
+				cycles = c.Stats.Cycles
+			}
+			for _, st := range c.Runs {
+				if st != nil {
+					cycles += st.Cycles
+				}
+			}
+			if c.Stats != nil || len(c.Runs) > 0 {
+				cs.SetAttrs(span.Int("cycles", int64(cycles)))
 			}
 		}
 		if p.Record != nil {

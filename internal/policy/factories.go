@@ -10,9 +10,8 @@ import (
 
 // Factories bundles the per-run component constructors every
 // speculation-control driver takes — the one options type behind
-// gating.Run/EvaluateSuite, smt.Run/Compare, and eager.Model.Measure,
-// replacing those packages' old positional `newPred, newEst` argument
-// pairs. Factories (not instances) because predictors, most estimators,
+// gating.Run, smt.Run/Compare, and eager.Model.Measure, replacing those
+// packages' old positional `newPred, newEst` argument pairs. Factories (not instances) because predictors, most estimators,
 // and stateful policies carry run state: each simulated run gets a
 // fresh private set.
 type Factories struct {

@@ -121,6 +121,13 @@ grep -q 'synth:t-' "$SMOKE/sweep.txt"
 "$SMOKE/simctrl" -replay off -exp frontier -committed 60000 > "$SMOKE/frontier-direct.txt"
 cmp "$SMOKE/frontier-local.txt" "$SMOKE/frontier-direct.txt"
 grep -q 'gate:1' "$SMOKE/frontier-local.txt"
+# abl-gating shares the frontier's policy-sweep grid (one baseline per
+# workload anchors every gated run): byte-identical at any -jobs, and
+# served below.
+"$SMOKE/simctrl" -exp abl-gating -committed 60000 > "$SMOKE/gating-local.txt"
+"$SMOKE/simctrl" -jobs 1 -exp abl-gating -committed 60000 > "$SMOKE/gating-serial.txt"
+cmp "$SMOKE/gating-local.txt" "$SMOKE/gating-serial.txt"
+grep -q 'Dist(>3)' "$SMOKE/gating-local.txt"
 "$SMOKE/simctrl" -policy gate:2 -exp table3 -committed 60000 > "$SMOKE/policied.txt"
 "$SMOKE/simctrl" -policy gate:2 -replay off -exp table3 -committed 60000 > "$SMOKE/policied-direct.txt"
 cmp "$SMOKE/policied.txt" "$SMOKE/policied-direct.txt"
@@ -178,6 +185,8 @@ grep -q 'synth:' "$SMOKE/ssweep2.txt"
 # service byte-identical to the local run.
 "$SMOKE/simctrl" -server "$URL" -exp frontier -committed 60000 > "$SMOKE/frontier-served.txt"
 cmp "$SMOKE/frontier-local.txt" "$SMOKE/frontier-served.txt"
+"$SMOKE/simctrl" -server "$URL" -exp abl-gating -committed 60000 > "$SMOKE/gating-served.txt"
+cmp "$SMOKE/gating-local.txt" "$SMOKE/gating-served.txt"
 
 # Graceful drain: SIGTERM must exit 0.
 kill -TERM "$SERVED_PID"
