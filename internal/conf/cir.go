@@ -80,7 +80,20 @@ func (o *OnesCount) index(pc int64, info bpred.Info) int {
 
 // Estimate implements Estimator.
 func (o *OnesCount) Estimate(pc int64, info bpred.Info) bool {
-	return bits.OnesCount32(o.table[o.index(pc, info)]) >= o.cfg.Threshold
+	return o.Score(pc, info) >= o.cfg.Threshold
+}
+
+// Score implements Scorer: the selected CIR's count of correct outcomes.
+func (o *OnesCount) Score(pc int64, info bpred.Info) int {
+	return bits.OnesCount32(o.table[o.index(pc, info)])
+}
+
+// Cut implements Scorer: the threshold.
+func (o *OnesCount) Cut() int { return o.cfg.Threshold }
+
+// Table implements Scorer.
+func (o *OnesCount) Table() TableKey {
+	return TableKey{"CIR", o.cfg.Entries, o.cfg.Bits, o.cfg.Enhanced}
 }
 
 // Resolve implements Estimator: shift in the outcome bit.
@@ -137,7 +150,21 @@ func (g *GlobalMDCIndexed) index() int {
 // entry its own resolution trains — the pairing the hardware achieves by
 // latching the MDC value with the branch.
 func (g *GlobalMDCIndexed) Estimate(pc int64, info bpred.Info) bool {
-	return bits.OnesCount32(g.table[g.index()]) >= g.cfg.Threshold
+	return g.Score(pc, info) >= g.cfg.Threshold
+}
+
+// Score implements Scorer: the count of correct outcomes in the CIR the
+// current global distance selects.
+func (g *GlobalMDCIndexed) Score(pc int64, info bpred.Info) int {
+	return bits.OnesCount32(g.table[g.index()])
+}
+
+// Cut implements Scorer: the threshold.
+func (g *GlobalMDCIndexed) Cut() int { return g.cfg.Threshold }
+
+// Table implements Scorer.
+func (g *GlobalMDCIndexed) Table() TableKey {
+	return TableKey{"gMDC-CIR", g.cfg.Entries, g.cfg.Bits, g.cfg.Enhanced}
 }
 
 // Resolve implements Estimator: train the CIR at the current distance,

@@ -38,6 +38,14 @@
 // the wrong path), in fetch order, and Resolve once per branch that
 // reaches resolution, in program order, with the outcome. Estimators that
 // keep no mutable state simply ignore Resolve.
+//
+// # Scores and cuts
+//
+// JRS, OnesCount, GlobalMDCIndexed and Distance are Scorers: each
+// verdict is a score compared against a threshold that is never stored,
+// so instances differing only in threshold keep identical tables. The
+// pipeline's estimator bank (pipeline.Bank) uses this to score a whole
+// threshold sweep from one table, in direct simulation and in replay.
 package conf
 
 import (
@@ -60,6 +68,31 @@ type Estimator interface {
 	// correct reports whether the prediction in info was right. Called
 	// once per resolved branch, in program order.
 	Resolve(pc int64, info bpred.Info, correct bool)
+}
+
+// Scorer is an Estimator whose verdict is a score read against a cut:
+// Estimate(pc, info) == (Score(pc, info) >= Cut()) on every call, and
+// Score advances fetch-time state exactly as Estimate does. Table
+// returns a key that is equal for two instances exactly when their
+// configurations differ only in threshold; such instances, fresh and
+// driven by the same stream, keep identical state forever, so one of
+// them can score a whole threshold sweep (pipeline.Bank's threshold
+// groups).
+type Scorer interface {
+	Estimator
+	Score(pc int64, info bpred.Info) int
+	Cut() int
+	Table() TableKey
+}
+
+// TableKey identifies a Scorer's table: its family and every
+// configuration field except the threshold. It is a comparable value,
+// so grouping scorers allocates nothing.
+type TableKey struct {
+	family   string
+	entries  int
+	bits     uint
+	enhanced bool
 }
 
 // JRSConfig parameterizes the JRS estimator.
@@ -148,7 +181,19 @@ func (j *JRS) index(pc int64, info bpred.Info) int {
 
 // Estimate implements Estimator.
 func (j *JRS) Estimate(pc int64, info bpred.Info) bool {
-	return int(j.table[j.index(pc, info)]) >= j.cfg.Threshold
+	return j.Score(pc, info) >= j.cfg.Threshold
+}
+
+// Score implements Scorer: the miss distance counter for (pc, info).
+func (j *JRS) Score(pc int64, info bpred.Info) int { return int(j.table[j.index(pc, info)]) }
+
+// Cut implements Scorer: the threshold.
+func (j *JRS) Cut() int { return j.cfg.Threshold }
+
+// Table implements Scorer: the threshold is compared at Estimate time
+// and never stored.
+func (j *JRS) Table() TableKey {
+	return TableKey{"JRS", j.cfg.Entries, j.cfg.Bits, j.cfg.Enhanced}
 }
 
 // Resolve implements Estimator: increment on correct, reset on incorrect.
@@ -162,18 +207,6 @@ func (j *JRS) Resolve(pc int64, info bpred.Info, correct bool) {
 		j.table[i]++
 	}
 }
-
-// Counter exposes the current MDC value for a (pc, info) pair; used by
-// tests and diagnostics.
-func (j *JRS) Counter(pc int64, info bpred.Info) int {
-	return int(j.table[j.index(pc, info)])
-}
-
-// Config returns the estimator's configuration. Table state depends
-// only on the non-Threshold fields (the threshold is compared at
-// Estimate time, never stored), which is what lets a replay evaluator
-// share one table across a threshold sweep.
-func (j *JRS) Config() JRSConfig { return j.cfg }
 
 func b2u(b bool) uint64 {
 	if b {

@@ -41,8 +41,8 @@ func TestJRSResetOnMisprediction(t *testing.T) {
 	if j.Estimate(pc, in) {
 		t.Error("counter not reset by misprediction")
 	}
-	if j.Counter(pc, in) != 0 {
-		t.Errorf("counter = %d after reset", j.Counter(pc, in))
+	if j.Score(pc, in) != 0 {
+		t.Errorf("counter = %d after reset", j.Score(pc, in))
 	}
 }
 
@@ -53,8 +53,8 @@ func TestJRSSaturates(t *testing.T) {
 	for i := 0; i < 100; i++ {
 		j.Resolve(pc, in, true)
 	}
-	if j.Counter(pc, in) != 15 {
-		t.Errorf("counter = %d, want saturated 15", j.Counter(pc, in))
+	if j.Score(pc, in) != 15 {
+		t.Errorf("counter = %d, want saturated 15", j.Score(pc, in))
 	}
 }
 

@@ -39,10 +39,24 @@ func (d *Distance) Name() string { return fmt.Sprintf("Dist(>%d)", d.Threshold) 
 // Estimate implements Estimator: classify this branch by the current
 // distance, then count it.
 func (d *Distance) Estimate(pc int64, info bpred.Info) bool {
-	hc := d.count > d.Threshold
-	d.count++
-	return hc
+	return d.Score(pc, info) >= d.Cut()
 }
+
+// Score implements Scorer: the current distance, which the call then
+// advances past this branch.
+func (d *Distance) Score(pc int64, info bpred.Info) int {
+	n := d.count
+	d.count++
+	return n
+}
+
+// Cut implements Scorer: high confidence means a distance above
+// Threshold.
+func (d *Distance) Cut() int { return d.Threshold + 1 }
+
+// Table implements Scorer: every Distance shares one key, since its
+// single global counter does not depend on the threshold.
+func (d *Distance) Table() TableKey { return TableKey{family: "Dist"} }
 
 // Resolve implements Estimator: a detected misprediction resets the
 // global counter.

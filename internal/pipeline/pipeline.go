@@ -46,7 +46,8 @@
 // committed branch), in program order: Predictor.Resolve,
 // Estimator.Resolve, and Predictor.Recover if mispredicted. Squashed
 // branches are never resolved, matching hardware where the enclosing
-// squash kills them first.
+// squash kills them first. Estimators are driven through a Bank, so a
+// threshold group receives these calls through its leader alone.
 package pipeline
 
 import (
@@ -99,10 +100,11 @@ type Config struct {
 	BTBEntries, BTBAssoc, RASDepth int
 
 	// Estimators is the set of confidence estimators observing the run
-	// (zero estimators disables confidence bookkeeping). The set is part
-	// of the validated configuration — estimators must be non-nil, at
-	// most 1024 are supported, and at most 64 with RecordEvents (events
-	// carry one confidence bit per estimator) — and
+	// (zero estimators disables confidence bookkeeping), driven through a
+	// Bank, so they must be freshly constructed and distinct. The set is
+	// part of the validated configuration — estimators must be non-nil,
+	// at most 1024 are supported, and at most 64 with RecordEvents or a
+	// Tracer (events carry one confidence bit per estimator) — and
 	// experiments.CellAddress hashes the estimator names into a cell's
 	// content address along with every other field here.
 	Estimators []conf.Estimator
@@ -187,10 +189,10 @@ func (c Config) Validate() error {
 	if len(c.Estimators) > 1024 {
 		return &ConfigError{"Estimators", fmt.Sprintf("%d estimators exceed the limit of 1024", len(c.Estimators))}
 	}
-	if c.RecordEvents && len(c.Estimators) > 64 {
+	if (c.RecordEvents || c.Tracer != nil) && len(c.Estimators) > 64 {
 		// BranchEvent.ConfMask carries one bit per estimator.
 		return &ConfigError{"Estimators", fmt.Sprintf(
-			"%d estimators with RecordEvents; events carry at most 64 confidence bits", len(c.Estimators))}
+			"%d estimators with RecordEvents or a Tracer; events carry at most 64 confidence bits", len(c.Estimators))}
 	}
 	for i, e := range c.Estimators {
 		if e == nil {
@@ -390,7 +392,7 @@ type Sim struct {
 	cfg  Config
 	prog *isa.Program
 	pred bpred.Predictor
-	ests []conf.Estimator
+	bank Bank // the estimators under observation
 
 	// Concrete-type fast paths for the three predictors the experiments
 	// sweep. Interface dispatch on Predict/Resolve/Recover showed up in
@@ -401,12 +403,6 @@ type Sim struct {
 	predG *bpred.Gshare
 	predM *bpred.McFarling
 	predS *bpred.SAg
-
-	// estFast mirrors ests with concrete-type fast paths for the four
-	// estimator families the paper's main tables sweep; their Estimate
-	// bodies are a handful of instructions, so the interface call was
-	// most of their cost. estGeneric entries fall back to the interface.
-	estFast []estFast
 
 	// policy is the per-Sim speculation-control policy instance (nil =
 	// always full rate); fetchWidth is the width the current cycle's
@@ -459,11 +455,6 @@ type Sim struct {
 	distPreciseCommitted int
 	distPerceivedAll     int
 	distPerceivedComm    int
-	distMisest           []int // one per estimator
-
-	// hcScratch avoids a per-branch allocation when fanning estimates
-	// out to the estimators.
-	hcScratch []bool
 
 	// execRes is the scratch result for emu.ExecInto: returning the
 	// ~7-word Result by value was a measurable share of per-slot fetch
@@ -488,12 +479,10 @@ func New(cfg Config, prog *isa.Program, pred bpred.Predictor) (*Sim, error) {
 	if pred == nil {
 		return nil, fmt.Errorf("pipeline: nil predictor")
 	}
-	ests := cfg.Estimators
 	s := &Sim{
 		cfg:    cfg,
 		prog:   prog,
 		pred:   pred,
-		ests:   ests,
 		mem:    mem.NewFromImage(prog.Data),
 		icache: cache.New(cfg.ICache),
 		dcache: cache.New(cfg.DCache),
@@ -508,21 +497,6 @@ func New(cfg Config, prog *isa.Program, pred bpred.Predictor) (*Sim, error) {
 		s.predM = p
 	case *bpred.SAg:
 		s.predS = p
-	}
-	s.estFast = make([]estFast, len(ests))
-	for i, e := range ests {
-		switch v := e.(type) {
-		case *conf.JRS:
-			s.estFast[i] = estFast{kind: estJRS, jrs: v}
-		case conf.SatCounters:
-			s.estFast[i] = estFast{kind: estSat}
-		case conf.SatCountersMcFarling:
-			s.estFast[i] = estFast{kind: estSatMcF, satM: v}
-		case conf.PatternHistory:
-			s.estFast[i] = estFast{kind: estPattern, pat: v}
-		case conf.Static:
-			s.estFast[i] = estFast{kind: estStatic, st: v}
-		}
 	}
 	// The ring's occupancy bound: every pending branch resolves within
 	// ResolveDelay+1 cycles of fetch and at most FetchWidth branches are
@@ -547,12 +521,8 @@ func New(cfg Config, prog *isa.Program, pred bpred.Predictor) (*Sim, error) {
 	if cfg.CollectSiteStats {
 		s.stats.Sites = make(map[int64]*SiteStats)
 	}
-	s.stats.Confidence = make([]ConfStats, len(ests))
-	for i, e := range ests {
-		s.stats.Confidence[i].Name = e.Name()
-	}
-	s.distMisest = make([]int, len(ests))
-	s.hcScratch = make([]bool, len(ests))
+	s.bank.init(cfg.Estimators)
+	s.stats.Confidence = s.bank.Stats()
 	if cfg.Metrics != nil || cfg.Progress != nil {
 		s.obsEvery = cfg.MetricsInterval
 		if s.obsEvery == 0 {
@@ -628,60 +598,6 @@ func (s *Sim) recoverPred(ckpt bpred.Checkpoint, pc int64, taken bool) {
 	}
 }
 
-// estKind tags the concrete estimator families with devirtualized call
-// sites; estGeneric (the zero value) routes through the interface.
-type estKind uint8
-
-const (
-	estGeneric estKind = iota
-	estJRS
-	estSat
-	estSatMcF
-	estPattern
-	estStatic
-)
-
-// estFast caches one estimator's concrete identity for direct dispatch
-// (value-type estimators are stored by value; copying conf.Static only
-// copies its map header, the profile itself is shared).
-type estFast struct {
-	kind estKind
-	jrs  *conf.JRS
-	satM conf.SatCountersMcFarling
-	pat  conf.PatternHistory
-	st   conf.Static
-}
-
-// estimate dispatches ests[i].Estimate through the concrete fast path.
-func (s *Sim) estimate(i int, pc int64, info bpred.Info) bool {
-	switch f := &s.estFast[i]; f.kind {
-	case estJRS:
-		return f.jrs.Estimate(pc, info)
-	case estSat:
-		return conf.SatCounters{}.Estimate(pc, info)
-	case estSatMcF:
-		return f.satM.Estimate(pc, info)
-	case estPattern:
-		return f.pat.Estimate(pc, info)
-	case estStatic:
-		return f.st.Estimate(pc, info)
-	}
-	return s.ests[i].Estimate(pc, info)
-}
-
-// estResolve dispatches ests[i].Resolve through the concrete fast path;
-// the value-type families' Resolve methods are empty, so their cases
-// compile to nothing.
-func (s *Sim) estResolve(i int, pc int64, info bpred.Info, correct bool) {
-	switch f := &s.estFast[i]; f.kind {
-	case estJRS:
-		f.jrs.Resolve(pc, info, correct)
-	case estSat, estSatMcF, estPattern, estStatic:
-	default:
-		s.ests[i].Resolve(pc, info, correct)
-	}
-}
-
 // resolveDue processes every pending correct-path branch whose resolve
 // cycle has arrived. It returns true if a misprediction recovery
 // happened (which redirects fetch).
@@ -707,8 +623,8 @@ func (s *Sim) resolveDue() bool {
 			continue
 		}
 		s.resolvePred(br.pc, br.info, br.outcome)
-		for i := range s.ests {
-			s.estResolve(i, br.pc, br.info, br.pred == br.outcome)
+		if len(s.cfg.Estimators) != 0 { // estimator-free runs skip the bank call
+			s.bank.Resolve(br.pc, &br.info, br.pred == br.outcome)
 		}
 		if br.mispredicted {
 			s.recoverPred(br.ckpt, br.pc, br.outcome)
@@ -754,25 +670,16 @@ func (s *Sim) squash() {
 func (s *Sim) onCondBranch(pc int64, outcome bool, takenTarget, notTakenTarget int64) int64 {
 	pred, ckpt, info := s.predict(pc)
 	correct := pred == outcome
-	hc0 := true // first estimator's view, mirrored into CommittedQ/AllQ
-	var confMask uint64
-	for i := range s.ests {
-		hc := s.estimate(i, pc, info)
-		s.hcScratch[i] = hc
-		if hc {
-			confMask |= 1 << uint(i)
-		}
-		if i == 0 {
-			hc0 = hc
-		}
+	// hc0 is the first estimator's view, mirrored into CommittedQ/AllQ;
+	// estimator-free runs skip the bank call.
+	hc0, confMask := true, uint64(0)
+	if len(s.cfg.Estimators) != 0 {
+		hc0, confMask = s.bank.Fetch(pc, &info, correct, !s.wrongPath)
 	}
 
 	// --- statistics at fetch ---
 	s.stats.AllBr++
 	s.stats.AllQ.Record(correct, hc0)
-	for i := range s.ests {
-		s.stats.Confidence[i].AllQ.Record(correct, s.hcScratch[i])
-	}
 	s.distPreciseAll++
 	s.distPerceivedAll++
 	s.stats.PreciseAll.Record(s.distPreciseAll, !correct)
@@ -789,17 +696,6 @@ func (s *Sim) onCondBranch(pc int64, outcome bool, takenTarget, notTakenTarget i
 		s.stats.PerceivedCommitted.Record(s.distPerceivedComm, !correct)
 		if !correct {
 			s.distPreciseCommitted = 0
-		}
-		for i := range s.ests {
-			cs := &s.stats.Confidence[i]
-			cs.CommittedQ.Record(correct, s.hcScratch[i])
-			s.distMisest[i]++
-			if misest := s.hcScratch[i] != correct; misest {
-				cs.MisestCommitted.Record(s.distMisest[i], true)
-				s.distMisest[i] = 0
-			} else {
-				cs.MisestCommitted.Record(s.distMisest[i], false)
-			}
 		}
 		if s.stats.Sites != nil {
 			st := s.stats.Sites[pc]
@@ -845,7 +741,7 @@ func (s *Sim) onCondBranch(pc int64, outcome bool, takenTarget, notTakenTarget i
 		pc: pc, info: info, ckpt: ckpt, outcome: outcome, pred: pred,
 		resolveCycle: s.cycle + uint64(s.cfg.ResolveDelay),
 		mispredicted: !correct,
-		lowConf:      len(s.ests) > 0 && !hc0,
+		lowConf:      !hc0,
 		rasCkpt:      rasCkpt,
 	}
 	if correct {

@@ -10,6 +10,7 @@ import (
 	"specctrl/internal/conf"
 	"specctrl/internal/emu"
 	"specctrl/internal/isa"
+	"specctrl/internal/metrics"
 	"specctrl/internal/rng"
 )
 
@@ -458,8 +459,17 @@ func TestMultiEstimatorFanOut(t *testing.T) {
 func TestEventConfMask(t *testing.T) {
 	cfg := testConfig()
 	cfg.RecordEvents = true
-	st, _ := mustRun(t, cfg, loopProgram(500), bpred.NewGshare(10),
-		conf.Always{High: true}, conf.Always{High: false})
+	// Two fixed verdicts, then threshold sweeps that the bank scores as
+	// groups: every estimator's bit must still be its own verdict.
+	ests := []conf.Estimator{conf.Always{High: true}, conf.Always{High: false}}
+	for _, th := range []int{15, 2, 8, 8} {
+		ests = append(ests, conf.NewJRS(conf.JRSConfig{Entries: 256, Bits: 4, Threshold: th, Enhanced: true}))
+	}
+	for _, th := range []int{6, 0, 3} {
+		ests = append(ests, conf.NewDistance(th))
+	}
+	st, _ := mustRun(t, cfg, loopProgram(500), bpred.NewGshare(10), ests...)
+	allQ := make([]metrics.Quadrant, len(ests))
 	for _, e := range st.Events {
 		if e.ConfMask&1 == 0 {
 			t.Fatal("estimator 0 (AlwaysHC) bit not set")
@@ -470,24 +480,46 @@ func TestEventConfMask(t *testing.T) {
 		if !e.HighConf {
 			t.Fatal("HighConf should mirror estimator 0")
 		}
+		for i := range ests {
+			allQ[i].Record(e.Correct(), e.ConfMask&(1<<uint(i)) != 0)
+		}
+	}
+	for i := range ests {
+		if allQ[i] != st.Confidence[i].AllQ {
+			t.Errorf("estimator %d (%s): ConfMask bits give %+v, stats say %+v",
+				i, ests[i].Name(), allQ[i], st.Confidence[i].AllQ)
+		}
 	}
 }
 
+// TestTooManyEstimatorsError: events carry one ConfMask bit per
+// estimator, so both event sinks — RecordEvents and a Tracer — reject
+// more than 64 estimators rather than silently dropping bits.
 func TestTooManyEstimatorsError(t *testing.T) {
 	ests := make([]conf.Estimator, 65)
 	for i := range ests {
 		ests[i] = conf.Always{High: true}
 	}
-	cfg := testConfig()
-	cfg.RecordEvents = true
-	cfg.Estimators = ests
-	_, err := New(cfg, loopProgram(1), bpred.NewGshare(8))
-	var ce *ConfigError
-	if !errors.As(err, &ce) {
-		t.Fatalf("New accepted 65 estimators with RecordEvents (err=%v)", err)
-	}
-	if ce.Field != "Estimators" {
-		t.Errorf("ConfigError.Field = %q, want Estimators", ce.Field)
+	for name, sink := range map[string]func(*Config){
+		"RecordEvents": func(c *Config) { c.RecordEvents = true },
+		"Tracer":       func(c *Config) { c.Tracer = &nullTracer{} },
+	} {
+		cfg := testConfig()
+		sink(&cfg)
+		cfg.Estimators = ests
+		_, err := New(cfg, loopProgram(1), bpred.NewGshare(8))
+		var ce *ConfigError
+		if !errors.As(err, &ce) {
+			t.Errorf("New accepted 65 estimators with %s (err=%v)", name, err)
+			continue
+		}
+		if ce.Field != "Estimators" {
+			t.Errorf("%s: ConfigError.Field = %q, want Estimators", name, ce.Field)
+		}
+		cfg.Estimators = ests[:64]
+		if _, err := New(cfg, loopProgram(1), bpred.NewGshare(8)); err != nil {
+			t.Errorf("%s: New rejected 64 estimators: %v", name, err)
+		}
 	}
 }
 

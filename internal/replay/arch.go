@@ -165,73 +165,36 @@ func ArchFromTrace(tr *Trace, committed uint64) *ArchTrace {
 	return t
 }
 
-// archStep applies one committed branch to every estimator: the
-// fetch-time quadrant updates, then the immediate resolve. In the
-// canonical trace-driven evaluation every branch is committed and
-// resolves before the next branch is fetched, so AllQ equals CommittedQ
-// and estimator tables train with no resolve lag.
-type archStep struct {
-	ests   []conf.Estimator
-	confs  []pipeline.ConfStats
-	dist   []int
-	groups []jrsGroup
-	solo   []int
-	fast   []estFast
-}
-
-func newArchStep(ests []conf.Estimator) *archStep {
-	s := &archStep{
-		ests:  ests,
-		confs: make([]pipeline.ConfStats, len(ests)),
-		dist:  make([]int, len(ests)),
-	}
-	for i, e := range ests {
-		s.confs[i].Name = e.Name()
-	}
-	s.groups, s.solo, s.fast = planReplay(ests)
-	return s
-}
-
-func (s *archStep) branch(pc int64, info bpred.Info, correct bool) {
-	for gi := range s.groups {
-		s.groups[gi].fetch(s.confs, s.dist, pc, info, correct, true)
-	}
-	for _, i := range s.solo {
-		hc := s.fast[i].estimate(s.ests, i, pc, info)
-		recordFetch(&s.confs[i], &s.dist[i], hc, correct, true)
-	}
-	for gi := range s.groups {
-		s.groups[gi].leader.Resolve(pc, info, correct)
-	}
-	for _, i := range s.solo {
-		s.fast[i].resolve(s.ests, i, pc, info, correct)
-	}
-}
-
 // ArchReplay evaluates a predictor model and a set of estimators
 // against the committed stream and returns one pipeline.ConfStats per
 // estimator. The predictor must be freshly constructed (untrained), as
 // must the estimators — the same requirement direct simulation imposes;
-// JRS estimators differing only in threshold share one table exactly as
-// in Replay (see jrsGroup), so non-leader instances should be discarded
-// after the call.
+// they are driven through a pipeline.Bank exactly as in Replay, so
+// non-leader members of a threshold group should be discarded after the
+// call.
 //
-// Per committed branch, in order: the predictor predicts, every
-// estimator observes the fetch (Estimate plus quadrant bookkeeping),
-// the predictor trains on the outcome (Resolve, then Recover on a
-// misprediction, per the bpred contract), and every estimator resolves.
+// Per committed branch, in order: the predictor predicts, the bank
+// observes the fetch, the predictor trains on the outcome (Resolve,
+// then Recover on a misprediction, per the bpred contract), and the
+// bank resolves. In this canonical trace-driven evaluation every branch
+// is committed and resolves before the next branch is fetched, so AllQ
+// equals CommittedQ and estimator tables train with no resolve lag.
 // The three predictors the experiments sweep get devirtualized loops
 // (the PR 4 pattern — interface dispatch on Predict/Resolve dominates
 // the model cost); any other Predictor takes the generic path.
 func ArchReplay(t *ArchTrace, pred bpred.Predictor, ests []conf.Estimator) []pipeline.ConfStats {
-	s := newArchStep(ests)
+	b := pipeline.NewBank(ests)
+	step := func(pc int64, info bpred.Info, correct bool) {
+		b.Fetch(pc, &info, correct, true)
+		b.Resolve(pc, &info, correct)
+	}
 	switch pr := pred.(type) {
 	case *bpred.Gshare:
 		for _, c := range t.chunks {
 			for k := 0; k < c.n; k++ {
 				pc, outcome := c.pc[k], c.taken(k)
 				p, ckpt, info := pr.Predict(pc)
-				s.branch(pc, info, p == outcome)
+				step(pc, info, p == outcome)
 				pr.Resolve(pc, info, outcome)
 				if p != outcome {
 					pr.Recover(ckpt, pc, outcome)
@@ -243,7 +206,7 @@ func ArchReplay(t *ArchTrace, pred bpred.Predictor, ests []conf.Estimator) []pip
 			for k := 0; k < c.n; k++ {
 				pc, outcome := c.pc[k], c.taken(k)
 				p, ckpt, info := pr.Predict(pc)
-				s.branch(pc, info, p == outcome)
+				step(pc, info, p == outcome)
 				pr.Resolve(pc, info, outcome)
 				if p != outcome {
 					pr.Recover(ckpt, pc, outcome)
@@ -255,7 +218,7 @@ func ArchReplay(t *ArchTrace, pred bpred.Predictor, ests []conf.Estimator) []pip
 			for k := 0; k < c.n; k++ {
 				pc, outcome := c.pc[k], c.taken(k)
 				p, ckpt, info := pr.Predict(pc)
-				s.branch(pc, info, p == outcome)
+				step(pc, info, p == outcome)
 				pr.Resolve(pc, info, outcome)
 				if p != outcome {
 					pr.Recover(ckpt, pc, outcome)
@@ -267,7 +230,7 @@ func ArchReplay(t *ArchTrace, pred bpred.Predictor, ests []conf.Estimator) []pip
 			for k := 0; k < c.n; k++ {
 				pc, outcome := c.pc[k], c.taken(k)
 				p, ckpt, info := pred.Predict(pc)
-				s.branch(pc, info, p == outcome)
+				step(pc, info, p == outcome)
 				pred.Resolve(pc, info, outcome)
 				if p != outcome {
 					pred.Recover(ckpt, pc, outcome)
@@ -275,7 +238,7 @@ func ArchReplay(t *ArchTrace, pred bpred.Predictor, ests []conf.Estimator) []pip
 			}
 		}
 	}
-	return s.confs
+	return b.Stats()
 }
 
 // ArchSites runs a predictor model over the committed stream and

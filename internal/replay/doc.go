@@ -34,11 +34,13 @@
 //
 // Exactness: Replay reproduces pipeline.Stats.Confidence — the
 // per-estimator quadrants and mis-estimation histogram — bit for bit,
-// because it replays the same Estimate/Resolve call sequence with the
-// same arguments and applies the same statistics updates in the same
-// order (asserted by differential tests in this package and in
+// because it feeds the same fetch/resolve sequence with the same
+// arguments to the simulator's own estimator fan-out, pipeline.Bank,
+// which owns the dispatch, the threshold groups and the statistics
+// updates (asserted by differential tests in this package and in
 // internal/experiments, and end to end by the results_full.txt
-// byte-identity gate in scripts/check.sh).
+// byte-identity gate in scripts/check.sh). The package drives no
+// estimator itself.
 //
 // # Arch tier
 //
@@ -48,8 +50,8 @@
 // recording per workload serves every (predictor, estimator)
 // combination. ArchReplay re-runs a predictor model over the stream
 // (devirtualized fast paths for the paper's three predictors) while
-// feeding estimator tables through the same grouped/solo machinery the
-// events tier uses; ArchSites derives the per-site accuracy profile
+// feeding every branch to a pipeline.Bank, as the events tier does;
+// ArchSites derives the per-site accuracy profile
 // the static estimator needs. Because the stream carries no timing,
 // the arch tier defines a canonical trace-driven evaluation: every
 // branch is committed, and every branch resolves immediately after its

@@ -3,7 +3,6 @@ package replay
 import (
 	"errors"
 	"fmt"
-	"sort"
 
 	"specctrl/internal/bpred"
 	"specctrl/internal/conf"
@@ -203,248 +202,23 @@ type resolveRec struct {
 	correct bool
 }
 
-// estKind tags the concrete estimator families with devirtualized call
-// sites, mirroring the simulator's hot-path dispatch (see pipeline's
-// estFast): interface calls per event per estimator dominate replay
-// cost, and the common families are all concrete types the compiler
-// can inline once the switch names them.
-type estKind uint8
-
-const (
-	estGeneric estKind = iota
-	estJRS
-	estSat
-	estSatMcF
-	estPattern
-	estStatic
-)
-
-// estFast caches one estimator's concrete identity for direct dispatch
-// (value-type estimators are stored by value; copying conf.Static only
-// copies its map header, the profile itself is shared).
-type estFast struct {
-	kind estKind
-	jrs  *conf.JRS
-	satM conf.SatCountersMcFarling
-	pat  conf.PatternHistory
-	st   conf.Static
-}
-
-func (f *estFast) estimate(ests []conf.Estimator, i int, pc int64, info bpred.Info) bool {
-	switch f.kind {
-	case estJRS:
-		return f.jrs.Estimate(pc, info)
-	case estSat:
-		return conf.SatCounters{}.Estimate(pc, info)
-	case estSatMcF:
-		return f.satM.Estimate(pc, info)
-	case estPattern:
-		return f.pat.Estimate(pc, info)
-	case estStatic:
-		return f.st.Estimate(pc, info)
-	}
-	return ests[i].Estimate(pc, info)
-}
-
-func (f *estFast) resolve(ests []conf.Estimator, i int, pc int64, info bpred.Info, correct bool) {
-	switch f.kind {
-	case estJRS:
-		f.jrs.Resolve(pc, info, correct)
-	case estSat, estSatMcF, estPattern, estStatic:
-		// Value-type families keep no per-branch state; Resolve is empty.
-	default:
-		ests[i].Resolve(pc, info, correct)
-	}
-}
-
-// jrsGroup is a set of JRS estimators identical except for their
-// threshold. A JRS table's evolution depends only on the index function
-// and the correct/incorrect sequence — the threshold is compared at
-// Estimate time, never stored — so every member's table is forever
-// identical and one lookup (and one Resolve) serves the whole group:
-// the sweep evaluates one counter read against many thresholds. This is
-// the replay path's structural advantage over direct simulation, where
-// each estimator is a black box behind the Estimator interface.
-type jrsGroup struct {
-	leader     *conf.JRS // first member; the only table that trains
-	members    []int     // estimator indices, sorted by threshold
-	thresholds []int     // members' thresholds, ascending, parallel to members
-}
-
-// fetch applies one fetch event to every group member. With thresholds
-// ascending, one scan finds the high/low-confidence split for this
-// counter value; each side of the split then updates its quadrant cells
-// with the branchy decisions (correct × hc × misestimate) already made.
-func (g *jrsGroup) fetch(confs []pipeline.ConfStats, dist []int, pc int64, info bpred.Info, correct, committed bool) {
-	ctr := g.leader.Counter(pc, info)
-	ths := g.thresholds
-	split := 0
-	for split < len(ths) && ctr >= ths[split] {
-		split++
-	}
-	mem := g.members
-	switch {
-	case correct && committed:
-		for _, i := range mem[:split] { // high confidence, estimate right
-			cs := &confs[i]
-			cs.AllQ.Chc++
-			cs.CommittedQ.Chc++
-			dist[i]++
-			cs.MisestCommitted.Record(dist[i], false)
-		}
-		for _, i := range mem[split:] { // low confidence: a mis-estimate
-			cs := &confs[i]
-			cs.AllQ.Clc++
-			cs.CommittedQ.Clc++
-			dist[i]++
-			cs.MisestCommitted.Record(dist[i], true)
-			dist[i] = 0
-		}
-	case committed: // mispredicted: high confidence is the mis-estimate
-		for _, i := range mem[:split] {
-			cs := &confs[i]
-			cs.AllQ.Ihc++
-			cs.CommittedQ.Ihc++
-			dist[i]++
-			cs.MisestCommitted.Record(dist[i], true)
-			dist[i] = 0
-		}
-		for _, i := range mem[split:] {
-			cs := &confs[i]
-			cs.AllQ.Ilc++
-			cs.CommittedQ.Ilc++
-			dist[i]++
-			cs.MisestCommitted.Record(dist[i], false)
-		}
-	case correct:
-		for _, i := range mem[:split] {
-			confs[i].AllQ.Chc++
-		}
-		for _, i := range mem[split:] {
-			confs[i].AllQ.Clc++
-		}
-	default:
-		for _, i := range mem[:split] {
-			confs[i].AllQ.Ihc++
-		}
-		for _, i := range mem[split:] {
-			confs[i].AllQ.Ilc++
-		}
-	}
-}
-
-// byThreshold sorts a group's parallel members/thresholds slices by
-// threshold, ties broken by estimator index for determinism.
-type byThreshold struct{ g *jrsGroup }
-
-func (s byThreshold) Len() int { return len(s.g.members) }
-func (s byThreshold) Less(a, b int) bool {
-	if s.g.thresholds[a] != s.g.thresholds[b] {
-		return s.g.thresholds[a] < s.g.thresholds[b]
-	}
-	return s.g.members[a] < s.g.members[b]
-}
-func (s byThreshold) Swap(a, b int) {
-	s.g.members[a], s.g.members[b] = s.g.members[b], s.g.members[a]
-	s.g.thresholds[a], s.g.thresholds[b] = s.g.thresholds[b], s.g.thresholds[a]
-}
-
-// planReplay splits ests into JRS threshold groups and solo estimators
-// with devirtualized dispatch. Grouping assumes group members have
-// identical table state — true whenever they were constructed fresh for
-// this replay (the same freshness direct simulation needs, since
-// estimators train during a run) and preserved by replay itself,
-// because identical call sequences keep the tables identical.
-func planReplay(ests []conf.Estimator) (groups []jrsGroup, solo []int, fast []estFast) {
-	fast = make([]estFast, len(ests))
-	byCfg := map[conf.JRSConfig]int{} // config minus threshold → groups index
-	for i, e := range ests {
-		switch v := e.(type) {
-		case *conf.JRS:
-			fast[i] = estFast{kind: estJRS, jrs: v}
-			key := v.Config()
-			key.Threshold = 0
-			gi, ok := byCfg[key]
-			if !ok {
-				gi = len(groups)
-				byCfg[key] = gi
-				groups = append(groups, jrsGroup{leader: v})
-			}
-			groups[gi].members = append(groups[gi].members, i)
-			groups[gi].thresholds = append(groups[gi].thresholds, v.Config().Threshold)
-			continue
-		case conf.SatCounters:
-			fast[i] = estFast{kind: estSat}
-		case conf.SatCountersMcFarling:
-			fast[i] = estFast{kind: estSatMcF, satM: v}
-		case conf.PatternHistory:
-			fast[i] = estFast{kind: estPattern, pat: v}
-		case conf.Static:
-			fast[i] = estFast{kind: estStatic, st: v}
-		}
-		solo = append(solo, i)
-	}
-	// Singleton groups gain nothing from the shared-counter path; fold
-	// them back into the solo list to keep one dispatch shape per size.
-	kept := groups[:0]
-	for _, g := range groups {
-		if len(g.members) == 1 {
-			solo = append(solo, g.members[0])
-			continue
-		}
-		// Ascending thresholds let fetch find the high/low-confidence
-		// boundary for a counter value with a single scan.
-		sort.Sort(byThreshold{&g})
-		kept = append(kept, g)
-	}
-	groups = kept
-	sort.Ints(solo)
-	return groups, solo, fast
-}
-
-// recordFetch applies the simulator's fetch-time confidence bookkeeping
-// for one estimator (see onCondBranch): quadrants over all fetched
-// branches, and over committed branches the committed quadrants plus
-// the mis-estimation distance histogram with its reset-on-misestimate
-// distance counter.
-func recordFetch(cs *pipeline.ConfStats, dist *int, hc, correct, committed bool) {
-	cs.AllQ.Record(correct, hc)
-	if committed {
-		cs.CommittedQ.Record(correct, hc)
-		*dist++
-		if hc != correct {
-			cs.MisestCommitted.Record(*dist, true)
-			*dist = 0
-		} else {
-			cs.MisestCommitted.Record(*dist, false)
-		}
-	}
-}
-
 // Replay evaluates ests against the recorded stream and returns one
 // pipeline.ConfStats per estimator — bit-identical to what a direct
 // simulation with the same estimators attached would have produced in
 // Stats.Confidence. The steady-state loop is allocation-free; the only
 // allocations are the per-call result and scratch slices.
 //
-// Estimators are driven exactly as the pipeline drives them: Estimate
-// per fetch event in stream order, Resolve per resolve token with the
-// corresponding committed fetch's pc/Info/correctness. Stateful
-// estimators therefore train identically, with one deliberate
-// exception: JRS estimators that differ only in threshold share one
-// table (see jrsGroup), so only the group leader's table is trained —
-// the returned statistics are unaffected, but non-leader instances
-// should be discarded after the call. Estimators must be freshly
-// constructed (untrained), the same requirement direct simulation
+// Estimators are driven through a pipeline.Bank exactly as the
+// simulator drives them: a fetch per fetch event in stream order, a
+// resolve per resolve token with the corresponding committed fetch's
+// pc/Info/correctness. They must therefore be freshly constructed
+// (untrained) and distinct, the same requirement direct simulation
 // imposes, and must not share mutable state with estimators being
-// replayed concurrently elsewhere.
+// replayed concurrently elsewhere; the bank's threshold groups train
+// only their leader, so non-leader instances should be discarded after
+// the call.
 func Replay(t *Trace, ests []conf.Estimator) []pipeline.ConfStats {
-	confs := make([]pipeline.ConfStats, len(ests))
-	for i, e := range ests {
-		confs[i].Name = e.Name()
-	}
-	dist := make([]int, len(ests))
-	groups, solo, fast := planReplay(ests)
+	bank := pipeline.NewBank(ests)
 
 	// FIFO of committed-but-unresolved fetches. Occupancy is bounded by
 	// the simulator's in-flight branch capacity (a few tens of entries);
@@ -460,12 +234,7 @@ func Replay(t *Trace, ests []conf.Estimator) []pipeline.ConfStats {
 					continue // tolerate a truncated decode; cannot happen on recorded traces
 				}
 				rr := &ring[head]
-				for gi := range groups {
-					groups[gi].leader.Resolve(rr.pc, rr.info, rr.correct)
-				}
-				for _, i := range solo {
-					fast[i].resolve(ests, i, rr.pc, rr.info, rr.correct)
-				}
+				bank.Resolve(rr.pc, &rr.info, rr.correct)
 				head = (head + 1) & (len(ring) - 1)
 				count--
 				continue
@@ -485,13 +254,7 @@ func Replay(t *Trace, ests []conf.Estimator) []pipeline.ConfStats {
 			fi++
 			correct := flg&fCorrect != 0
 			committed := flg&fCommitted != 0
-			for gi := range groups {
-				groups[gi].fetch(confs, dist, pc, info, correct, committed)
-			}
-			for _, i := range solo {
-				hc := fast[i].estimate(ests, i, pc, info)
-				recordFetch(&confs[i], &dist[i], hc, correct, committed)
-			}
+			bank.Fetch(pc, &info, correct, committed)
 			if committed {
 				if count == len(ring) {
 					ring = growRing(ring, head)
@@ -502,7 +265,7 @@ func Replay(t *Trace, ests []conf.Estimator) []pipeline.ConfStats {
 			}
 		}
 	}
-	return confs
+	return bank.Stats()
 }
 
 // growRing doubles a full ring, re-basing the occupied run at index 0.

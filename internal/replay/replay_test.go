@@ -79,9 +79,10 @@ func staticFor(t *testing.T, predName string) conf.Static {
 // allFamilies returns one fresh estimator per family the paper studies:
 // JRS (plain and enhanced), saturating counters (single and McFarling
 // both/either), pattern, static, distance, CIR (per-branch and
-// global-MDC-indexed), and the JRS/McFarling hybrid. Stateful
-// estimators train during a run, so every evaluation needs fresh
-// instances.
+// global-MDC-indexed), and the JRS/McFarling hybrid — plus a second
+// threshold for every conf.Scorer family, so each is also evaluated as
+// a threshold group. Stateful estimators train during a run, so every
+// evaluation needs fresh instances.
 func allFamilies(t *testing.T, predName string) []conf.Estimator {
 	t.Helper()
 	hist := map[string]uint{"gshare": 12, "mcfarling": 12, "sag": 13}[predName]
@@ -98,6 +99,10 @@ func allFamilies(t *testing.T, predName string) []conf.Estimator {
 		conf.NewGlobalMDCIndexed(conf.OnesCountConfig{Entries: 64, Bits: 16, Threshold: 16}),
 		conf.NewJRSMcFarling(conf.JRSConfig{Entries: 1024, Bits: 4, Threshold: 12}, conf.BothTables),
 		conf.NewJRSMcFarling(conf.JRSConfig{Entries: 1024, Bits: 4, Threshold: 12}, conf.MetaSelected),
+		conf.NewJRS(conf.JRSConfig{Entries: 1024, Bits: 4, Threshold: 4, Enhanced: true}),
+		conf.NewDistance(1),
+		conf.NewOnesCount(conf.OnesCountConfig{Entries: 4096, Bits: 16, Threshold: 10, Enhanced: true}),
+		conf.NewGlobalMDCIndexed(conf.OnesCountConfig{Entries: 64, Bits: 16, Threshold: 10}),
 	}
 }
 

@@ -81,6 +81,12 @@ cmp "$SMOKE/local.txt" "$SMOKE/direct.txt"
 cmp "$SMOKE/direct.txt" "$SMOKE/arch.txt"
 "$SMOKE/simctrl" -replay events -exp table3 -committed 60000 > "$SMOKE/events.txt"
 cmp "$SMOKE/direct.txt" "$SMOKE/events.txt"
+# Threshold-group smoke: fig4's 80-estimator JRS sweeps are scored as
+# threshold groups both in event replay (the default) and in direct
+# simulation, and the two must render the same bytes.
+"$SMOKE/simctrl" -exp fig4 -committed 60000 > "$SMOKE/fig4.txt"
+"$SMOKE/simctrl" -replay off -exp fig4 -committed 60000 > "$SMOKE/fig4-direct.txt"
+cmp "$SMOKE/fig4.txt" "$SMOKE/fig4-direct.txt"
 
 # Span-tracing smoke: -trace-out must emit a Chrome trace-event file
 # that parses with per-cell spans, -profile-cells must print the
