@@ -139,7 +139,7 @@ func (p Params) archStreamFor(w workload.Workload) (*replay.ArchTrace, error) {
 		}
 		return replay.ArchFromTrace(tr, base.Committed), nil
 	default: // ReplayArch, ReplayAuto, ""
-		t, outcome, err := p.archCache().GetOrRecordOutcome(p.ArchTraceAddress(w.Name),
+		t, outcome, err := p.archCache().GetOrRecordOutcome(p.Ctx, p.ArchTraceAddress(w.Name),
 			func() (*replay.ArchTrace, error) { return p.recordArch(w) })
 		if ts != nil {
 			ts.SetAttrs(span.Str("outcome", string(outcome)))

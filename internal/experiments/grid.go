@@ -131,6 +131,10 @@ func UnmarshalCells(data []byte) (map[string]CellResult, error) {
 // round-trips exactly through JSON, a cached cell is indistinguishable
 // from a freshly simulated one. internal/serve provides the on-disk,
 // singleflight-deduplicated implementation.
+//
+// A returned cell may be shared: the same decoded value is handed to
+// every grid, job and goroutine that asks for its address. Callers must
+// treat it — its Stats, Runs and Extra included — as read-only.
 type CellCache interface {
 	GetOrCompute(ctx context.Context, addr string, spec runner.Spec,
 		compute func(context.Context) (CellResult, error)) (CellResult, error)

@@ -115,7 +115,7 @@ func (p Params) traceFor(w workload.Workload, spec PredictorSpec) (*replay.Trace
 			span.Str("workload", w.Name), span.Str("predictor", spec.Name))
 		defer ts.End()
 	}
-	r, outcome, err := p.traceCache().GetOrRecordOutcome(p.TraceAddress(w.Name, spec),
+	r, outcome, err := p.traceCache().GetOrRecordOutcome(p.Ctx, p.TraceAddress(w.Name, spec),
 		func() (replay.Recording, error) {
 			tr, st, err := p.recordTrace(w, spec)
 			return replay.Recording{Trace: tr, Stats: st}, err

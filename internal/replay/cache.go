@@ -2,6 +2,7 @@ package replay
 
 import (
 	"container/list"
+	"context"
 	"sync"
 
 	"specctrl/internal/obs"
@@ -18,14 +19,14 @@ import (
 const DefaultCacheBytes = 256 << 20
 
 // LRU is the one in-memory, content-addressed cache substrate behind
-// both trace tiers: values of type V keyed by address, bounded by
-// retained bytes with least-recently-used eviction.
+// every cache tier — the event and arch trace tiers here and the
+// decoded cell tier in serve.Store: values of type V keyed by address,
+// bounded by retained bytes with least-recently-used eviction.
 //
-// Recording is deduplicated singleflight-style (the same discipline as
-// serve.Store and the experiments progCache): concurrent GetOrRecord
+// Recording is deduplicated singleflight-style: concurrent GetOrRecord
 // calls for one address run the record function exactly once, and every
-// waiter shares the outcome. Errors are not cached; the next call
-// retries.
+// waiter shares the outcome (or gives up when its own context ends).
+// Errors are not cached; the next call retries.
 //
 // Eviction only ever costs time, never correctness: a caller that
 // misses re-records the value from the deterministic simulation, so a
@@ -79,11 +80,11 @@ type Backing[V any] interface {
 	Store(addr string, v V)
 }
 
-// newLRU returns a cache holding at most maxBytes (DefaultCacheBytes
+// NewLRU returns a cache holding at most maxBytes (DefaultCacheBytes
 // when maxBytes <= 0), charging size(v) per entry. When reg is non-nil
 // the cache publishes <prefix>_{records,hits,fetches,evictions}_total
 // and the <prefix>_cache_bytes gauge.
-func newLRU[V any](maxBytes int64, reg *obs.Registry, prefix string, size func(V) int64) *LRU[V] {
+func NewLRU[V any](maxBytes int64, reg *obs.Registry, prefix string, size func(V) int64) *LRU[V] {
 	if maxBytes <= 0 {
 		maxBytes = DefaultCacheBytes
 	}
@@ -146,15 +147,21 @@ const (
 
 // GetOrRecord returns the value cached under addr, running record to
 // produce it on a miss.
-func (c *LRU[V]) GetOrRecord(addr string, record func() (V, error)) (V, error) {
-	v, _, err := c.GetOrRecordOutcome(addr, record)
+func (c *LRU[V]) GetOrRecord(ctx context.Context, addr string, record func() (V, error)) (V, error) {
+	v, _, err := c.GetOrRecordOutcome(ctx, addr, record)
 	return v, err
 }
 
 // GetOrRecordOutcome is GetOrRecord plus a report of how the request
 // was satisfied: a resident hit, a fresh recording, a wait on another
 // caller's in-flight recording, or a fetch from the backing tier.
-func (c *LRU[V]) GetOrRecordOutcome(addr string, record func() (V, error)) (V, Outcome, error) {
+//
+// ctx bounds only the wait: a caller that finds another's recording in
+// flight returns ctx.Err() (with OutcomeWait) once ctx is done, while
+// the recording runs on for its own caller. A nil ctx never ends. The
+// record function itself is not handed ctx; it closes over whatever
+// context its caller wants it to honour.
+func (c *LRU[V]) GetOrRecordOutcome(ctx context.Context, addr string, record func() (V, error)) (V, Outcome, error) {
 	c.mu.Lock()
 	if el, ok := c.entries[addr]; ok {
 		c.lru.MoveToFront(el)
@@ -165,7 +172,16 @@ func (c *LRU[V]) GetOrRecordOutcome(addr string, record func() (V, error)) (V, O
 	}
 	if f, ok := c.flights[addr]; ok {
 		c.mu.Unlock()
-		<-f.done
+		var cancelled <-chan struct{}
+		if ctx != nil {
+			cancelled = ctx.Done()
+		}
+		select {
+		case <-f.done:
+		case <-cancelled:
+			var zero V
+			return zero, OutcomeWait, ctx.Err()
+		}
 		if f.err == nil {
 			inc(c.hits)
 		}
@@ -277,9 +293,9 @@ type Recording struct {
 	Stats *pipeline.Stats
 }
 
-// statsFootprint approximates the retained size of one pipeline.Stats
+// StatsFootprint approximates the retained size of one pipeline.Stats
 // (fixed-size histograms and quadrant counters) for budget accounting.
-const statsFootprint = 4096
+const StatsFootprint = 4096
 
 // Cache is the event tier: recorded speculative-event traces keyed by
 // TraceAddress. It is the generic LRU over Recording, with a Get that
@@ -292,8 +308,8 @@ type Cache struct {
 // trace data (DefaultCacheBytes when maxBytes <= 0), publishing the
 // specctrl_trace_* metrics when reg is non-nil.
 func NewCache(maxBytes int64, reg *obs.Registry) *Cache {
-	return &Cache{newLRU(maxBytes, reg, "specctrl_trace", func(r Recording) int64 {
-		return int64(r.Trace.Bytes()) + statsFootprint
+	return &Cache{NewLRU(maxBytes, reg, "specctrl_trace", func(r Recording) int64 {
+		return int64(r.Trace.Bytes()) + StatsFootprint
 	})}
 }
 
@@ -313,7 +329,7 @@ type ArchCache = LRU[*ArchTrace]
 // (DefaultCacheBytes when maxBytes <= 0), publishing the
 // specctrl_archtrace_* metrics when reg is non-nil.
 func NewArchCache(maxBytes int64, reg *obs.Registry) *ArchCache {
-	return newLRU(maxBytes, reg, "specctrl_archtrace", func(t *ArchTrace) int64 {
+	return NewLRU(maxBytes, reg, "specctrl_archtrace", func(t *ArchTrace) int64 {
 		return int64(t.Bytes())
 	})
 }

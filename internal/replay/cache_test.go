@@ -1,11 +1,13 @@
 package replay
 
 import (
+	"context"
 	"errors"
 	"fmt"
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"specctrl/internal/obs"
 	"specctrl/internal/pipeline"
@@ -87,11 +89,11 @@ func TestArchCacheHit(t *testing.T) { testHit(t, archTier) }
 func testHit[V comparable](t *testing.T, h tier[V]) {
 	c := h.new(0, nil)
 	var calls atomic.Int64
-	v1, err := c.GetOrRecord("a", h.recorder(&calls, 100))
+	v1, err := c.GetOrRecord(context.Background(), "a", h.recorder(&calls, 100))
 	if err != nil {
 		t.Fatal(err)
 	}
-	v2, err := c.GetOrRecord("a", h.recorder(&calls, 100))
+	v2, err := c.GetOrRecord(context.Background(), "a", h.recorder(&calls, 100))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -128,7 +130,7 @@ func testSingleflight[V comparable](t *testing.T, h tier[V]) {
 		wg.Add(1)
 		go func(i int) {
 			defer wg.Done()
-			v, err := c.GetOrRecord("addr", record)
+			v, err := c.GetOrRecord(context.Background(), "addr", record)
 			if err != nil {
 				t.Error(err)
 			}
@@ -159,7 +161,7 @@ func TestArchCacheRecordError(t *testing.T) { testRecordError(t, archTier) }
 func testRecordError[V comparable](t *testing.T, h tier[V]) {
 	c := h.new(0, nil)
 	boom := errors.New("boom")
-	if _, err := c.GetOrRecord("a", func() (V, error) {
+	if _, err := c.GetOrRecord(context.Background(), "a", func() (V, error) {
 		var zero V
 		return zero, boom
 	}); !errors.Is(err, boom) {
@@ -169,7 +171,7 @@ func testRecordError[V comparable](t *testing.T, h tier[V]) {
 		t.Fatal("failed recording was cached")
 	}
 	var calls atomic.Int64
-	if _, err := c.GetOrRecord("a", h.recorder(&calls, 10)); err != nil {
+	if _, err := c.GetOrRecord(context.Background(), "a", h.recorder(&calls, 10)); err != nil {
 		t.Fatalf("retry after failure: %v", err)
 	}
 	if calls.Load() != 1 {
@@ -191,15 +193,15 @@ func testLRUEviction[V comparable](t *testing.T, h tier[V]) {
 
 	var calls atomic.Int64
 	for _, addr := range []string{"a", "b"} {
-		if _, err := c.GetOrRecord(addr, h.recorder(&calls, 5000)); err != nil {
+		if _, err := c.GetOrRecord(context.Background(), addr, h.recorder(&calls, 5000)); err != nil {
 			t.Fatal(err)
 		}
 	}
 	// Touch "a" so "b" is the LRU victim when "c" arrives.
-	if _, err := c.GetOrRecord("a", h.recorder(&calls, 5000)); err != nil {
+	if _, err := c.GetOrRecord(context.Background(), "a", h.recorder(&calls, 5000)); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.GetOrRecord("c", h.recorder(&calls, 5000)); err != nil {
+	if _, err := c.GetOrRecord(context.Background(), "c", h.recorder(&calls, 5000)); err != nil {
 		t.Fatal(err)
 	}
 	if c.Len() != 2 {
@@ -209,14 +211,14 @@ func testLRUEviction[V comparable](t *testing.T, h tier[V]) {
 	// "a" and "c" resident, "b" evicted: re-requesting "b" records anew.
 	before := calls.Load()
 	for _, addr := range []string{"a", "c"} {
-		if _, err := c.GetOrRecord(addr, h.recorder(&calls, 5000)); err != nil {
+		if _, err := c.GetOrRecord(context.Background(), addr, h.recorder(&calls, 5000)); err != nil {
 			t.Fatal(err)
 		}
 	}
 	if calls.Load() != before {
 		t.Fatal("resident entries re-recorded")
 	}
-	if _, err := c.GetOrRecord("b", h.recorder(&calls, 5000)); err != nil {
+	if _, err := c.GetOrRecord(context.Background(), "b", h.recorder(&calls, 5000)); err != nil {
 		t.Fatal(err)
 	}
 	if calls.Load() != before+1 {
@@ -265,7 +267,7 @@ func testManyAddresses[V comparable](t *testing.T, h tier[V]) {
 	c := h.new(3*one, nil)
 	var calls atomic.Int64
 	for i := 0; i < 20; i++ {
-		if _, err := c.GetOrRecord(fmt.Sprint("w", i%7), h.recorder(&calls, 1000)); err != nil {
+		if _, err := c.GetOrRecord(context.Background(), fmt.Sprint("w", i%7), h.recorder(&calls, 1000)); err != nil {
 			t.Fatal(err)
 		}
 		if c.Len() > 3 {
@@ -287,7 +289,7 @@ func testBackingFetch[V comparable](t *testing.T, h tier[V]) {
 	c := h.new(0, reg)
 	c.SetBacking(b)
 	var calls atomic.Int64
-	v, outcome, err := c.GetOrRecordOutcome("a", h.recorder(&calls, 80))
+	v, outcome, err := c.GetOrRecordOutcome(context.Background(), "a", h.recorder(&calls, 80))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -301,7 +303,7 @@ func testBackingFetch[V comparable](t *testing.T, h tier[V]) {
 		t.Fatal("fetch returned a different value than the backing tier holds")
 	}
 	// Resident now: no second Fetch.
-	if _, outcome, err = c.GetOrRecordOutcome("a", h.recorder(&calls, 80)); err != nil {
+	if _, outcome, err = c.GetOrRecordOutcome(context.Background(), "a", h.recorder(&calls, 80)); err != nil {
 		t.Fatal(err)
 	}
 	if outcome != OutcomeHit {
@@ -329,7 +331,7 @@ func testBackingWriteThrough[V comparable](t *testing.T, h tier[V]) {
 	c := h.new(0, nil)
 	c.SetBacking(b)
 	var calls atomic.Int64
-	v, outcome, err := c.GetOrRecordOutcome("a", h.recorder(&calls, 60))
+	v, outcome, err := c.GetOrRecordOutcome(context.Background(), "a", h.recorder(&calls, 60))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -347,6 +349,57 @@ func testBackingWriteThrough[V comparable](t *testing.T, h tier[V]) {
 	b.mu.Unlock()
 	if !ok || stored != v {
 		t.Fatal("recorded value missing from the backing tier")
+	}
+}
+
+// FollowerCancel: a caller waiting on another's in-flight recording
+// returns context.Canceled as soon as its own ctx ends, while the
+// recording runs on for its leader and lands in the cache.
+func TestCacheFollowerCancel(t *testing.T)     { testFollowerCancel(t, eventTier) }
+func TestArchCacheFollowerCancel(t *testing.T) { testFollowerCancel(t, archTier) }
+
+func testFollowerCancel[V comparable](t *testing.T, h tier[V]) {
+	c := h.new(0, nil)
+	var calls atomic.Int64
+	started := make(chan struct{})
+	release := make(chan struct{})
+	leader := make(chan V, 1)
+	go func() {
+		v, err := c.GetOrRecord(context.Background(), "a", func() (V, error) {
+			calls.Add(1)
+			close(started)
+			<-release
+			return h.value(50), nil
+		})
+		if err != nil {
+			t.Error(err)
+		}
+		leader <- v
+	}()
+	<-started // the leader is recording; the follower must join it
+
+	ctx, cancel := context.WithCancel(context.Background())
+	waited := make(chan error, 1)
+	go func() {
+		_, outcome, err := c.GetOrRecordOutcome(ctx, "a", h.recorder(&calls, 50))
+		if outcome != OutcomeWait {
+			t.Errorf("follower outcome %s, want wait", outcome)
+		}
+		waited <- err
+	}()
+	time.Sleep(5 * time.Millisecond) // let the follower park on the flight
+	cancel()
+	if err := <-waited; !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled follower got %v, want context.Canceled", err)
+	}
+
+	close(release)
+	v := <-leader
+	if got, ok := c.Get("a"); !ok || got != v {
+		t.Fatal("the leader's recording did not land after the follower left")
+	}
+	if n := calls.Load(); n != 1 {
+		t.Fatalf("recorded %d times, want 1", n)
 	}
 }
 

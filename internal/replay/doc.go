@@ -67,5 +67,6 @@
 // the generic retained-bytes LRU with singleflight recording and an
 // optional Backing; Cache (the event tier, over Recording) and
 // ArchCache (the arch tier) differ only in value type, size function
-// and metric prefix.
+// and metric prefix. The same LRU is exported (NewLRU) as the resident
+// tier of serve.Store's decoded cells.
 package replay

@@ -1,7 +1,9 @@
 package serve
 
 import (
+	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
 	"os"
 	"strings"
@@ -146,17 +148,25 @@ func TestStoreErrorNotCached(t *testing.T) {
 	}
 }
 
+// TestStoreCorruptEntryRecomputed: a corrupt file is a miss that
+// recomputes and repairs the entry. The corrupt file is read through a
+// fresh store over the same directory, because a resident entry is by
+// design never re-read from disk.
 func TestStoreCorruptEntryRecomputed(t *testing.T) {
-	s, err := NewStore(t.TempDir(), nil)
+	first, err := NewStore(t.TempDir(), nil)
 	if err != nil {
 		t.Fatal(err)
 	}
 	addr := testAddr("dd")
-	if _, err := s.GetOrCompute(context.Background(), addr,
+	if _, err := first.GetOrCompute(context.Background(), addr,
 		func(context.Context) (experiments.CellResult, error) { return testCell(5), nil }); err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(s.path(addr), []byte("{not json"), 0o644); err != nil {
+	if err := os.WriteFile(first.path(addr), []byte("{not json"), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s, err := NewStore(first.Dir(), nil)
+	if err != nil {
 		t.Fatal(err)
 	}
 	c, err := s.GetOrCompute(context.Background(), addr,
@@ -167,6 +177,9 @@ func TestStoreCorruptEntryRecomputed(t *testing.T) {
 	// And the recompute repaired the entry on disk.
 	if c, ok := s.Lookup(addr); !ok || c.Extra["v"] != 6 {
 		t.Errorf("entry not repaired: %v %v", c, ok)
+	}
+	if c, ok := reopen(t, s).Lookup(addr); !ok || c.Extra["v"] != 6 {
+		t.Errorf("entry not repaired on disk: %v %v", c, ok)
 	}
 }
 
@@ -198,4 +211,219 @@ func TestStoreFollowerCancellation(t *testing.T) {
 	}
 	close(release)
 	<-leaderDone // the leader writes into TempDir; let it finish before cleanup
+}
+
+// reopen returns a fresh store over s's directory: nothing resident,
+// so every read goes to disk.
+func reopen(t *testing.T, s *Store) *Store {
+	t.Helper()
+	s2, err := NewStore(s.Dir(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return s2
+}
+
+// mustNotCompute is a compute func for requests the store must satisfy
+// without simulating.
+func mustNotCompute(t *testing.T) func(context.Context) (experiments.CellResult, error) {
+	return func(context.Context) (experiments.CellResult, error) {
+		t.Error("compute ran for a stored cell")
+		return testCell(-1), nil
+	}
+}
+
+// TestStoreResidentNoDiskRead: a resident cell is served from memory —
+// deleting its file changes nothing for this store.
+func TestStoreResidentNoDiskRead(t *testing.T) {
+	reg := obs.NewRegistry()
+	s, err := NewStore(t.TempDir(), reg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr := testAddr("a1")
+	c1, err := s.GetOrCompute(context.Background(), addr,
+		func(context.Context) (experiments.CellResult, error) { return testCell(3), nil })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Remove(s.path(addr)); err != nil {
+		t.Fatal(err)
+	}
+	c2, err := s.GetOrCompute(context.Background(), addr, mustNotCompute(t))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if c2.Stats != c1.Stats {
+		t.Error("resident hit returned a different decoded cell")
+	}
+	if c, ok := s.Lookup(addr); !ok || c.Stats != c1.Stats {
+		t.Errorf("Lookup missed the resident cell: %v %v", c, ok)
+	}
+	if h := reg.Counter("specctrl_serve_cache_hits_total", nil).Value(); h != 1 {
+		t.Errorf("hits = %d, want 1", h)
+	}
+	if _, ok := reopen(t, s).Lookup(addr); ok {
+		t.Error("a fresh store found the deleted file")
+	}
+}
+
+// TestStoreConcurrentFirstRead: concurrent first requests for a cell
+// that is on disk but not resident read and decode the file once, and
+// all share that one decoded cell.
+func TestStoreConcurrentFirstRead(t *testing.T) {
+	writer, err := NewStore(t.TempDir(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	addr := testAddr("a2")
+	if err := writer.Put(addr, testCell(9)); err != nil {
+		t.Fatal(err)
+	}
+	reg := obs.NewRegistry()
+	s, err := NewStore(writer.Dir(), reg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const callers = 16
+	var wg sync.WaitGroup
+	start := make(chan struct{})
+	results := make([]experiments.CellResult, callers)
+	for i := range results {
+		wg.Add(1)
+		go func(i int) {
+			defer wg.Done()
+			<-start
+			c, err := s.GetOrCompute(context.Background(), addr, mustNotCompute(t))
+			if err != nil {
+				t.Error(err)
+			}
+			results[i] = c
+		}(i)
+	}
+	close(start)
+	wg.Wait()
+	if n := reg.Counter("specctrl_cell_records_total", nil).Value(); n != 1 {
+		t.Errorf("file read and decoded %d times, want 1", n)
+	}
+	for i, c := range results {
+		if c.Stats != results[0].Stats || c.Extra["v"] != 9 {
+			t.Errorf("caller %d got %v, want the one shared decoded cell", i, c)
+		}
+	}
+	hits := reg.Counter("specctrl_serve_cache_hits_total", nil).Value()
+	dedup := reg.Counter("specctrl_serve_cache_dedup_total", nil).Value()
+	if hits+dedup != callers {
+		t.Errorf("hits %d + dedup %d, want %d", hits, dedup, callers)
+	}
+}
+
+// TestStoreTinyBudget: a budget smaller than one cell evicts every
+// entry at once, so each request falls back to the verified disk path
+// — slower, never different.
+func TestStoreTinyBudget(t *testing.T) {
+	reg := obs.NewRegistry()
+	s, err := newStore(t.TempDir(), reg, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	addrs := []string{testAddr("b1"), testAddr("b2")}
+	want := make([][]byte, len(addrs))
+	for i, addr := range addrs {
+		c, err := s.GetOrCompute(context.Background(), addr,
+			func(context.Context) (experiments.CellResult, error) { return testCell(float64(i)), nil })
+		if err != nil {
+			t.Fatal(err)
+		}
+		if want[i], err = json.Marshal(c); err != nil {
+			t.Fatal(err)
+		}
+	}
+	for round := 0; round < 2; round++ {
+		for i, addr := range addrs {
+			c, err := s.GetOrCompute(context.Background(), addr, mustNotCompute(t))
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err := json.Marshal(c)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !bytes.Equal(got, want[i]) {
+				t.Errorf("round %d cell %d: %s, want %s", round, i, got, want[i])
+			}
+		}
+	}
+	if n := reg.Counter("specctrl_cell_evictions_total", nil).Value(); n != 6 {
+		t.Errorf("evictions = %d, want 6 (every insert)", n)
+	}
+	if n := reg.Counter("specctrl_cell_records_total", nil).Value(); n != 6 {
+		t.Errorf("records = %d, want 6 (2 computes + 4 disk reads)", n)
+	}
+	if h := reg.Counter("specctrl_serve_cache_hits_total", nil).Value(); h != 4 {
+		t.Errorf("hits = %d, want 4", h)
+	}
+}
+
+// TestStoreEnvelopeVerified: an entry whose payload does not match its
+// digest, that names another address, or that is a bare pre-envelope
+// cell file is a miss — recomputed, counted as corrupt, and rewritten
+// as a valid envelope.
+func TestStoreEnvelopeVerified(t *testing.T) {
+	writer, err := NewStore(t.TempDir(), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	good, other := testAddr("c1"), testAddr("c2")
+	if err := writer.Put(good, testCell(1)); err != nil {
+		t.Fatal(err)
+	}
+	if err := writer.Put(other, testCell(2)); err != nil {
+		t.Fatal(err)
+	}
+	sealed, err := os.ReadFile(writer.path(good))
+	if err != nil {
+		t.Fatal(err)
+	}
+	otherSealed, err := os.ReadFile(writer.path(other))
+	if err != nil {
+		t.Fatal(err)
+	}
+	bare, err := json.Marshal(testCell(1))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases := map[string][]byte{
+		"tampered":      bytes.Replace(sealed, []byte(`"v":1`), []byte(`"v":8`), 1),
+		"wrong address": otherSealed,
+		"bare":          append(bare, '\n'),
+		"truncated":     sealed[:len(sealed)-3],
+	}
+	for name, data := range cases {
+		t.Run(name, func(t *testing.T) {
+			if err := os.WriteFile(writer.path(good), data, 0o644); err != nil {
+				t.Fatal(err)
+			}
+			reg := obs.NewRegistry()
+			s, err := NewStore(writer.Dir(), reg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, ok := s.Lookup(good); ok {
+				t.Fatal("Lookup accepted an unverified entry")
+			}
+			computes := 0
+			c, err := s.GetOrCompute(context.Background(), good,
+				func(context.Context) (experiments.CellResult, error) { computes++; return testCell(1), nil })
+			if err != nil || c.Extra["v"] != 1 || computes != 1 {
+				t.Fatalf("got %v, %v after %d computes; want a recompute", c, err, computes)
+			}
+			if n := reg.Counter("specctrl_store_corrupt_total", nil).Value(); n != 2 {
+				t.Errorf("corrupt = %d, want 2 (Lookup and GetOrCompute)", n)
+			}
+			if repaired, err := os.ReadFile(s.path(good)); err != nil || !bytes.Equal(repaired, sealed) {
+				t.Errorf("entry not rewritten as its envelope: %s", repaired)
+			}
+		})
+	}
 }

@@ -12,8 +12,12 @@
 //   - A content-addressed result cache (Store): every cell is keyed by
 //     the canonical hash of its full spec (experiments.CellAddress), so
 //     the same cell requested twice — by one job, by two concurrent
-//     jobs, or days apart — simulates exactly once and is served from
-//     disk forever after, byte-identical to a fresh simulation.
+//     jobs, or days apart — simulates exactly once and is served
+//     forever after, byte-identical to a fresh simulation. Cells live
+//     on disk as envelopes verified against their address and payload
+//     SHA-256 on every read, behind a resident tier of decoded cells on
+//     the shared replay.LRU substrate, so a repeated cell is neither
+//     re-read nor re-parsed.
 //   - Admission control and backpressure: a bounded job queue sized off
 //     the runner pool width. A full queue rejects submissions with
 //     429 + Retry-After; a draining server rejects them with 503. Jobs

@@ -142,16 +142,25 @@ if cmp -s "$SMOKE/local.txt" "$SMOKE/policied.txt"; then
     exit 1
 fi
 
-"$SMOKE/simserved" -addr 127.0.0.1:0 -addr-file "$SMOKE/addr" \
-    -cache-dir "$SMOKE/cache" -committed 60000 \
-    -ingest-trace "$SMOKE/compress.spbt" 2> "$SMOKE/simserved.log" &
-SERVED_PID=$!
-for _ in $(seq 1 100); do
-    [ -s "$SMOKE/addr" ] && break
-    sleep 0.1
-done
-[ -s "$SMOKE/addr" ] || { echo "check.sh: simserved never published its address" >&2; cat "$SMOKE/simserved.log" >&2; exit 1; }
-URL=$(cat "$SMOKE/addr")
+# start_served <log> [flags...] boots simserved over the smoke's cell
+# store in the background, sets SERVED_PID, and sets URL once the server
+# has published its address.
+start_served() {
+    log=$1
+    shift
+    rm -f "$SMOKE/addr"
+    "$SMOKE/simserved" -addr 127.0.0.1:0 -addr-file "$SMOKE/addr" \
+        -cache-dir "$SMOKE/cache" -committed 60000 "$@" 2> "$log" &
+    SERVED_PID=$!
+    for _ in $(seq 1 100); do
+        [ -s "$SMOKE/addr" ] && break
+        sleep 0.1
+    done
+    [ -s "$SMOKE/addr" ] || { echo "check.sh: simserved never published its address" >&2; cat "$log" >&2; exit 1; }
+    URL=$(cat "$SMOKE/addr")
+}
+
+start_served "$SMOKE/simserved.log" -ingest-trace "$SMOKE/compress.spbt"
 
 "$SMOKE/simctrl" -server "$URL" -exp table3 -committed 60000 \
     > "$SMOKE/served1.txt" 2> "$SMOKE/stats1.txt"
@@ -195,6 +204,44 @@ cmp "$SMOKE/frontier-local.txt" "$SMOKE/frontier-served.txt"
 cmp "$SMOKE/gating-local.txt" "$SMOKE/gating-served.txt"
 
 # Graceful drain: SIGTERM must exit 0.
+kill -TERM "$SERVED_PID"
+wait "$SERVED_PID"
+SERVED_PID=""
+
+# Restart over the same store: nothing is resident, so the resubmission
+# reads every cell back from its verified file and simulates none.
+start_served "$SMOKE/simserved-restart.log"
+"$SMOKE/simctrl" -server "$URL" -exp table3 -committed 60000 \
+    > "$SMOKE/restart.txt" 2> "$SMOKE/restart-stats.txt"
+cmp "$SMOKE/local.txt" "$SMOKE/restart.txt"
+grep -q ' 0 simulated)' "$SMOKE/restart-stats.txt"
+# The job's event stream names each cell's content address.
+JOB=$(sed -n 's/^simctrl: submitted \([^ ]*\) to .*/\1/p' "$SMOKE/restart-stats.txt")
+ADDR=$(curl -s "$URL/v1/jobs/$JOB/events" | sed -n 's/.*"type":"cell".*"addr":"\([0-9a-f]*\)".*/\1/p' | head -n 1)
+kill -TERM "$SERVED_PID"
+wait "$SERVED_PID"
+SERVED_PID=""
+
+# Tamper with one table3 cell: flip the first digit of its first Chc
+# count. A restarted server must reject the entry (its payload no
+# longer matches the envelope's SHA-256), re-simulate exactly that
+# cell, count it as corrupt, and still print the local bytes.
+CELL="$SMOKE/cache/$(echo "$ADDR" | cut -c1-2)/$ADDR.json"
+grep -q '"Chc":' "$CELL"
+awk '{ i = index($0, "\"Chc\":"); d = substr($0, i + 6, 1);
+       printf "%s%d%s\n", substr($0, 1, i + 5), (d + 1) % 10, substr($0, i + 7) }' \
+    "$CELL" > "$SMOKE/tampered.json"
+mv "$SMOKE/tampered.json" "$CELL"
+start_served "$SMOKE/simserved-tamper.log"
+"$SMOKE/simctrl" -server "$URL" -exp table3 -committed 60000 \
+    > "$SMOKE/tamper.txt" 2> "$SMOKE/tamper-stats.txt"
+cmp "$SMOKE/local.txt" "$SMOKE/tamper.txt"
+grep -q ', 1 simulated)' "$SMOKE/tamper-stats.txt"
+CORRUPT=$(curl -s "$URL/metrics" | awk '/^specctrl_store_corrupt_total/ {print $2}')
+[ -n "$CORRUPT" ] && [ "$CORRUPT" -ge 1 ] || {
+    echo "check.sh: tampered cell file not counted as corrupt (got '$CORRUPT')" >&2
+    exit 1
+}
 kill -TERM "$SERVED_PID"
 wait "$SERVED_PID"
 SERVED_PID=""
