@@ -14,6 +14,7 @@ import (
 	"specctrl/internal/experiments"
 	"specctrl/internal/obs"
 	"specctrl/internal/pipeline"
+	"specctrl/internal/replay"
 	"specctrl/internal/workload"
 )
 
@@ -196,9 +197,15 @@ func BenchmarkAblationWidth(b *testing.B) {
 	}
 }
 
+// The next three benchmarks simulate runs the run tier would serve from
+// the previous iteration, so each iteration gets a fresh cache and
+// times simulation, not cache lookups.
+
 func BenchmarkAblationSpecHistory(b *testing.B) {
 	for i := 0; i < b.N; i++ {
-		if _, err := experiments.AblationSpecHistory(benchParams()); err != nil {
+		p := benchParams()
+		p.TraceCache = replay.NewCache(0, nil)
+		if _, err := experiments.AblationSpecHistory(p); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -208,6 +215,7 @@ func BenchmarkAblationGating(b *testing.B) {
 	p := benchParams()
 	p.MaxCommitted = 60_000
 	for i := 0; i < b.N; i++ {
+		p.TraceCache = replay.NewCache(0, nil)
 		if _, err := experiments.AblationGating(p); err != nil {
 			b.Fatal(err)
 		}
@@ -218,6 +226,7 @@ func BenchmarkAblationIndirect(b *testing.B) {
 	p := benchParams()
 	p.MaxCommitted = 60_000
 	for i := 0; i < b.N; i++ {
+		p.TraceCache = replay.NewCache(0, nil)
 		if _, err := experiments.AblationIndirect(p); err != nil {
 			b.Fatal(err)
 		}

@@ -149,15 +149,11 @@ type cellIdentity struct {
 // results_full.txt, cached cells are invalidated by clearing the store
 // when simulator behaviour changes (see docs/SERVING.md).
 func (p Params) CellAddress(sp runner.Spec) string {
-	seed := p.BaseSeed
-	if seed == 0 {
-		seed = runner.DefaultBaseSeed
-	}
 	id := cellIdentity{
 		AddressVersion:  cellAddressVersion,
 		CellsVersion:    CellsVersion,
 		Key:             sp.Key(),
-		BaseSeed:        seed,
+		BaseSeed:        p.baseSeed(),
 		MaxCommitted:    p.MaxCommitted,
 		BuildIters:      p.BuildIters,
 		GshareBits:      p.GshareBits,
@@ -167,13 +163,7 @@ func (p Params) CellAddress(sp runner.Spec) string {
 		StaticThreshold: p.StaticThreshold,
 		Pipeline:        p.pipelineID(),
 	}
-	data, err := json.Marshal(id)
-	if err != nil {
-		// cellIdentity is all scalars; Marshal cannot fail.
-		panic("experiments: cell identity encoding: " + err.Error())
-	}
-	sum := sha256.Sum256(data)
-	return hex.EncodeToString(sum[:])
+	return contentAddress("cell", id)
 }
 
 // traceAddressVersion versions traceIdentity the way cellAddressVersion
@@ -253,10 +243,6 @@ type unitIdentity struct {
 // is a stable dedup and reassignment key for cluster scheduling the
 // way CellAddress keys the result cache.
 func (p Params) UnitAddress(experiment string, sh runner.Shard) string {
-	seed := p.BaseSeed
-	if seed == 0 {
-		seed = runner.DefaultBaseSeed
-	}
 	synthWs := p.SynthWorkloads
 	if synthWs == nil {
 		synthWs = []string{}
@@ -267,7 +253,7 @@ func (p Params) UnitAddress(experiment string, sh runner.Shard) string {
 		ShardIndex:      sh.Index,
 		ShardCount:      sh.Count,
 		Replay:          p.Replay,
-		BaseSeed:        seed,
+		BaseSeed:        p.baseSeed(),
 		SynthN:          p.SynthN,
 		SynthWorkloads:  synthWs,
 		MaxCommitted:    p.MaxCommitted,
@@ -279,12 +265,7 @@ func (p Params) UnitAddress(experiment string, sh runner.Shard) string {
 		StaticThreshold: p.StaticThreshold,
 		Pipeline:        p.pipelineID(),
 	}
-	data, err := json.Marshal(id)
-	if err != nil {
-		panic("experiments: unit identity encoding: " + err.Error())
-	}
-	sum := sha256.Sum256(data)
-	return hex.EncodeToString(sum[:])
+	return contentAddress("unit", id)
 }
 
 // archTraceAddressVersion versions archIdentity the way
@@ -318,25 +299,16 @@ type archIdentity struct {
 // streams, so the address keys the ArchCache (and the cluster's
 // arch-trace tier) the way TraceAddress keys the event-trace cache.
 func (p Params) ArchTraceAddress(workload string) string {
-	seed := p.BaseSeed
-	if seed == 0 {
-		seed = runner.DefaultBaseSeed
-	}
 	id := archIdentity{
 		AddressVersion: archTraceAddressVersion,
 		Workload:       workload,
-		BaseSeed:       seed,
+		BaseSeed:       p.baseSeed(),
 		MaxCommitted:   p.MaxCommitted,
 		BuildIters:     p.BuildIters,
 		GshareBits:     p.GshareBits,
 		Pipeline:       p.pipelineID(),
 	}
-	data, err := json.Marshal(id)
-	if err != nil {
-		panic("experiments: arch trace identity encoding: " + err.Error())
-	}
-	sum := sha256.Sum256(data)
-	return hex.EncodeToString(sum[:])
+	return contentAddress("arch trace", id)
 }
 
 // TraceAddress returns the content address of the branch-event trace a
@@ -347,15 +319,16 @@ func (p Params) ArchTraceAddress(workload string) string {
 // streams, so the address keys the replay trace cache the same way
 // CellAddress keys the result cache.
 func (p Params) TraceAddress(workload string, spec PredictorSpec) string {
-	seed := p.BaseSeed
-	if seed == 0 {
-		seed = runner.DefaultBaseSeed
-	}
-	id := traceIdentity{
+	return contentAddress("trace", p.traceID(workload, spec))
+}
+
+// traceID is the identity TraceAddress hashes; RunAddress extends it.
+func (p Params) traceID(workload string, spec PredictorSpec) traceIdentity {
+	return traceIdentity{
 		AddressVersion: traceAddressVersion,
 		Workload:       workload,
 		Predictor:      spec.Name,
-		BaseSeed:       seed,
+		BaseSeed:       p.baseSeed(),
 		MaxCommitted:   p.MaxCommitted,
 		BuildIters:     p.BuildIters,
 		GshareBits:     p.GshareBits,
@@ -364,9 +337,65 @@ func (p Params) TraceAddress(workload string, spec PredictorSpec) string {
 		SAgHistBits:    p.SAgHistBits,
 		Pipeline:       p.pipelineID(),
 	}
+}
+
+// runAddressVersion versions runIdentity the way cellAddressVersion
+// versions cellIdentity.
+const runAddressVersion = 1
+
+// runIdentity is the canonical identity of one simulation's Stats:
+// everything that shapes the run's event stream (traceIdentity, which
+// carries the pipeline identity and its policy) plus the complete
+// identity of every estimator the run carries, in order. The
+// estimators are keyed even when no policy is installed: they do not
+// change timing then, but Stats.Confidence, CommittedQ and AllQ are
+// theirs.
+type runIdentity struct {
+	AddressVersion int           `json:"addressVersion"`
+	Trace          traceIdentity `json:"trace"`
+	Estimators     []string      `json:"estimators"`
+}
+
+// RunAddress returns the content address of the Stats a
+// (workload, predictor) simulation under these parameters returns when
+// a cell runs it with the estimators ests (the config-level estimators
+// riding along at the tail): a hex SHA-256 of the canonical JSON
+// encoding of the run's identity. It keys the run tier
+// (replay.Cache.Runs). ok is false when some estimator has no complete
+// identity (conf.Identity): such a run has no address and is always
+// simulated.
+func (p Params) RunAddress(workload string, spec PredictorSpec, ests []conf.Estimator) (addr string, ok bool) {
+	ests = p.runEstimators(ests)
+	ids := make([]string, len(ests))
+	for i, e := range ests {
+		if ids[i], ok = conf.Identity(e); !ok {
+			return "", false
+		}
+	}
+	return contentAddress("run", runIdentity{
+		AddressVersion: runAddressVersion,
+		Trace:          p.traceID(workload, spec),
+		Estimators:     ids,
+	}), true
+}
+
+// baseSeed is BaseSeed with zero resolved to the published default, as
+// the runner resolves it.
+func (p Params) baseSeed() uint64 {
+	if p.BaseSeed == 0 {
+		return runner.DefaultBaseSeed
+	}
+	return p.BaseSeed
+}
+
+// contentAddress hashes an identity: a hex SHA-256 of its canonical
+// JSON encoding.
+func contentAddress(kind string, id any) string {
 	data, err := json.Marshal(id)
 	if err != nil {
-		panic("experiments: trace identity encoding: " + err.Error())
+		// Identities are scalars, strings and slices of them; Marshal
+		// cannot fail.
+		panic("experiments: " + kind + " identity encoding: " + err.Error())
 	}
 	sum := sha256.Sum256(data)
 	return hex.EncodeToString(sum[:])

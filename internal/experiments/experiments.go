@@ -293,18 +293,73 @@ func buildProgram(w workload.Workload, iters int) *isa.Program {
 	return p.(*isa.Program)
 }
 
-// runOne simulates one workload on one predictor with the given
-// estimators under p.Pipeline.Policy (none when nil) and returns the
-// statistics. When Params carries an obs registry or progress view, the
-// run publishes live metrics under {workload, predictor} labels.
+// runOne returns the statistics of one workload on one predictor with
+// the given estimators under p.Pipeline.Policy (none when nil).
+//
+// A run that records no events is served from the run tier
+// (replay.Cache.Runs) keyed by RunAddress, so each identical run is
+// simulated once per cache lifetime — across cells and experiments —
+// and concurrent cells asking for the same run share one simulation.
+// The returned Stats are then shared and must not be modified. When
+// traced, the tier consultation gets a "run" span whose outcome
+// attribute says whether the run was simulated here ("record"),
+// resident ("hit") or shared from another cell's in-flight simulation
+// ("dedup"). Runs the tier cannot serve always simulate: recordings,
+// -replay off (the direct escape hatch), base configs with a tracer or
+// site-stats collection (side channels only a real run feeds), and
+// estimators without a complete identity.
 func (p Params) runOne(w workload.Workload, spec PredictorSpec, record bool, ests ...conf.Estimator) (*pipeline.Stats, error) {
+	if record || p.Replay == ReplayOff || p.Pipeline.Tracer != nil || p.Pipeline.CollectSiteStats {
+		return p.simulate(p.SpanParent, w, spec, record, ests)
+	}
+	addr, ok := p.RunAddress(w.Name, spec, ests)
+	if !ok {
+		return p.simulate(p.SpanParent, w, spec, false, ests)
+	}
+	var rs *span.Span
+	if p.Tracer != nil {
+		rs = p.Tracer.Child(p.SpanParent, "run",
+			span.Str("workload", w.Name), span.Str("predictor", spec.Name))
+		defer rs.End()
+	}
+	st, outcome, err := p.traceCache().Runs.GetOrRecordOutcome(p.Ctx, addr, func() (*pipeline.Stats, error) {
+		return p.simulate(rs.Context(), w, spec, false, ests)
+	})
+	if rs != nil {
+		o := string(outcome)
+		if outcome == replay.OutcomeWait {
+			o = "dedup"
+		}
+		rs.SetAttrs(span.Str("outcome", o))
+	}
+	return st, err
+}
+
+// runEstimators is the estimator list of a run carrying the cell
+// estimators ests. Per-cell estimators come first so Stats.Confidence
+// indices match the ests argument; estimators configured on
+// Params.Pipeline (hashed into CellAddress) ride along at the tail.
+func (p Params) runEstimators(ests []conf.Estimator) []conf.Estimator {
+	base := p.Pipeline.Estimators
+	if len(base) == 0 {
+		return ests
+	}
+	return append(append(make([]conf.Estimator, 0, len(ests)+len(base)), ests...), base...)
+}
+
+// simulate runs one simulation of w on spec carrying the cell
+// estimators ests under p.Pipeline.Policy, publishing live
+// metrics under {workload, predictor} labels when Params carries an obs
+// registry or progress view. Without record it returns a copy of the
+// run's Stats, so a holder does not keep the whole simulator alive.
+func (p Params) simulate(parent span.Context, w workload.Workload, spec PredictorSpec, record bool, ests []conf.Estimator) (*pipeline.Stats, error) {
 	var rs *span.Span
 	if p.Tracer != nil {
 		pol := "none"
 		if p.Pipeline.Policy != nil {
 			pol = p.Pipeline.Policy.Name()
 		}
-		rs = p.Tracer.Child(p.SpanParent, "simulate",
+		rs = p.Tracer.Child(parent, "simulate",
 			span.Str("workload", w.Name), span.Str("predictor", spec.Name),
 			span.Int("estimators", int64(len(ests))), span.Str("policy", pol))
 		defer rs.End()
@@ -312,6 +367,7 @@ func (p Params) runOne(w workload.Workload, spec PredictorSpec, record bool, est
 	cfg := p.Pipeline
 	cfg.MaxCommitted = p.MaxCommitted
 	cfg.RecordEvents = record
+	cfg.Estimators = p.runEstimators(ests)
 	if p.Obs != nil {
 		cfg.Metrics = p.Obs
 		cfg.MetricsLabels = obs.Labels{"workload": w.Name, "predictor": spec.Name}
@@ -319,15 +375,6 @@ func (p Params) runOne(w workload.Workload, spec PredictorSpec, record bool, est
 	if p.Run != nil {
 		cfg.Progress = p.Run
 		p.Run.StartRun(w.Name+"/"+spec.Name, p.MaxCommitted)
-	}
-	// Per-cell estimators come first so Stats.Confidence indices match
-	// the ests argument; estimators configured on Params.Pipeline (hashed
-	// into CellAddress) ride along at the tail.
-	if base := p.Pipeline.Estimators; len(base) > 0 {
-		combined := make([]conf.Estimator, 0, len(ests)+len(base))
-		cfg.Estimators = append(append(combined, ests...), base...)
-	} else {
-		cfg.Estimators = ests
 	}
 	sim, err := pipeline.New(cfg, buildProgram(w, p.BuildIters), spec.New(p))
 	if err != nil {
@@ -337,6 +384,10 @@ func (p Params) runOne(w workload.Workload, spec PredictorSpec, record bool, est
 	st, err := sim.Run()
 	if err != nil {
 		return nil, err
+	}
+	if !record {
+		kept := *st
+		st = &kept
 	}
 	if rs != nil {
 		rs.SetAttrs(span.Int("cycles", int64(st.Cycles)))

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"specctrl/internal/policy"
+	"specctrl/internal/replay"
 	"specctrl/internal/runner"
 )
 
@@ -20,12 +21,15 @@ func frontierParams() Params {
 }
 
 // TestFrontierDeterminism: the frontier grid must be byte-identical at
-// any Jobs width — cells are isolated and assembly is positional.
+// any Jobs width — cells are isolated and assembly is positional. Each
+// side gets its own cache, so both simulate every run.
 func TestFrontierDeterminism(t *testing.T) {
 	serial := frontierParams()
 	serial.Jobs = 1
+	serial.TraceCache = replay.NewCache(0, nil)
 	wide := frontierParams()
 	wide.Jobs = 8
+	wide.TraceCache = replay.NewCache(0, nil)
 
 	r1, err := Frontier(serial)
 	if err != nil {

@@ -36,14 +36,6 @@ type namedEstimator struct {
 // cell of the old shape is never read as one of these.
 const policyBaseline = "no-ctrl"
 
-// keep returns a copy of a run's Stats. Sim.Run returns a pointer into
-// the Sim, so a cell that held it would keep the whole simulator alive
-// until the experiment merges.
-func keep(st *pipeline.Stats) *pipeline.Stats {
-	out := *st
-	return &out
-}
-
 // policySweep holds a policy-sweep grid's statistics in suite order.
 type policySweep struct {
 	base []*pipeline.Stats     // [workload]
@@ -52,7 +44,10 @@ type policySweep struct {
 
 // runPolicySweep simulates the grid of ests x policies (canonical
 // policy.Parse specs) over the suite. Policies perturb fetch timing, so
-// every run simulates directly; the replay tiers never apply.
+// no trace tier applies; every run goes through runOne's run tier
+// instead, so a run another sweep already simulated under the same
+// cache (frontier's baselines and gate:t cells repeat abl-gating's) is
+// served, not simulated again.
 func (p Params) runPolicySweep(experiment string, ests []namedEstimator, policies []string) (*policySweep, error) {
 	cellSpec := func(variant string) runner.Spec {
 		return runner.Spec{Experiment: experiment, Workload: "suite", Predictor: "gshare", Variant: variant}
@@ -74,7 +69,7 @@ func (p Params) runPolicySweep(experiment string, ests []namedEstimator, policie
 				if err != nil {
 					return CellResult{}, err
 				}
-				c.Runs = append(c.Runs, keep(st))
+				c.Runs = append(c.Runs, st)
 			}
 			return c, nil
 		}
@@ -99,7 +94,7 @@ func (p Params) runPolicySweep(experiment string, ests []namedEstimator, policie
 			if err != nil {
 				return CellResult{}, err
 			}
-			c.Runs = append(c.Runs, keep(st))
+			c.Runs = append(c.Runs, st)
 		}
 		return c, nil
 	})

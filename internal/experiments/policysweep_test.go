@@ -10,6 +10,7 @@ import (
 	"specctrl/internal/obs"
 	"specctrl/internal/obs/span"
 	"specctrl/internal/policy"
+	"specctrl/internal/replay"
 	"specctrl/internal/runner"
 )
 
@@ -96,12 +97,15 @@ func TestAblationGatingMatchesPairedRuns(t *testing.T) {
 }
 
 // TestAblationGatingDeterminism: abl-gating is byte-identical at any
-// Jobs width.
+// Jobs width. Each side gets its own cache, so both simulate every run
+// rather than the wide side reading the serial side's run tier.
 func TestAblationGatingDeterminism(t *testing.T) {
 	serial := gatingParams()
 	serial.Jobs = 1
+	serial.TraceCache = replay.NewCache(0, nil)
 	wide := gatingParams()
 	wide.Jobs = 8
+	wide.TraceCache = replay.NewCache(0, nil)
 	r1, err := AblationGating(serial)
 	if err != nil {
 		t.Fatal(err)
@@ -123,9 +127,9 @@ func TestAblationGatingShardRoundTrip(t *testing.T) {
 }
 
 // TestPolicySweepRunCounts: every policy-sweep run is one simulation
-// through runOne, so specctrl_runs_total counts the grid's runs
-// exactly, and each simulate span names its policy ("none" for the
-// baselines).
+// through runOne, so over a cold run tier specctrl_runs_total counts the
+// grid's runs exactly, and each simulate span names its policy ("none"
+// for the baselines).
 func TestPolicySweepRunCounts(t *testing.T) {
 	for _, tc := range []struct {
 		exp  string
@@ -137,6 +141,7 @@ func TestPolicySweepRunCounts(t *testing.T) {
 		p := frontierParams()
 		p.Obs = obs.NewRegistry()
 		p.Tracer = span.New(span.Options{Capacity: 4096})
+		p.TraceCache = replay.NewCache(0, nil)
 		if _, err := Run(tc.exp, p); err != nil {
 			t.Fatal(err)
 		}

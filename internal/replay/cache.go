@@ -4,6 +4,8 @@ import (
 	"container/list"
 	"context"
 	"sync"
+	"sync/atomic"
+	"unsafe"
 
 	"specctrl/internal/obs"
 	"specctrl/internal/pipeline"
@@ -33,10 +35,15 @@ const DefaultCacheBytes = 256 << 20
 // budget smaller than the working set degrades to direct-simulation
 // speed rather than misbehaving. Values are shared and must be treated
 // as immutable.
+//
+// An LRU built by newSiblingLRU charges its entries against another
+// LRU's budget: the two share one retained-bytes total, and an insert
+// into either evicts from its own tail until the total fits again.
 type LRU[V any] struct {
 	mu      sync.Mutex
 	max     int64
-	bytes   int64
+	bytes   int64         // this LRU's own entries
+	budget  *atomic.Int64 // bytes charged against max, shared with siblings
 	size    func(V) int64
 	entries map[string]*list.Element
 	lru     *list.List // front = most recently used
@@ -88,8 +95,19 @@ func NewLRU[V any](maxBytes int64, reg *obs.Registry, prefix string, size func(V
 	if maxBytes <= 0 {
 		maxBytes = DefaultCacheBytes
 	}
+	return newLRU(maxBytes, new(atomic.Int64), reg, prefix, size)
+}
+
+// newSiblingLRU returns a cache that charges its entries against
+// owner's budget (see LRU): owner's maxBytes bounds the two together.
+func newSiblingLRU[V, W any](owner *LRU[W], reg *obs.Registry, prefix string, size func(V) int64) *LRU[V] {
+	return newLRU(owner.max, owner.budget, reg, prefix, size)
+}
+
+func newLRU[V any](maxBytes int64, budget *atomic.Int64, reg *obs.Registry, prefix string, size func(V) int64) *LRU[V] {
 	c := &LRU[V]{
 		max:     maxBytes,
+		budget:  budget,
 		size:    size,
 		entries: make(map[string]*list.Element),
 		lru:     list.New(),
@@ -257,12 +275,14 @@ func (c *LRU[V]) Put(addr string, v V) {
 // insertLocked adds an entry and evicts from the LRU tail until the
 // budget holds again. A value larger than the whole budget is evicted
 // immediately after insertion — the caller already holds it, so the
-// only cost is that the next request re-records.
+// only cost is that the next request re-records. A sibling's entries
+// are never evicted here; the sibling evicts its own on its inserts.
 func (c *LRU[V]) insertLocked(addr string, v V) {
 	e := &entry[V]{addr: addr, val: v, bytes: c.size(v)}
 	c.entries[addr] = c.lru.PushFront(e)
 	c.bytes += e.bytes
-	for c.bytes > c.max {
+	c.budget.Add(e.bytes)
+	for c.budget.Load() > c.max {
 		tail := c.lru.Back()
 		if tail == nil {
 			break
@@ -270,6 +290,7 @@ func (c *LRU[V]) insertLocked(addr string, v V) {
 		victim := c.lru.Remove(tail).(*entry[V])
 		delete(c.entries, victim.addr)
 		c.bytes -= victim.bytes
+		c.budget.Add(-victim.bytes)
 		inc(c.evictions)
 	}
 	if c.gauge != nil {
@@ -294,23 +315,46 @@ type Recording struct {
 }
 
 // StatsFootprint approximates the retained size of one pipeline.Stats
-// (fixed-size histograms and quadrant counters) for budget accounting.
+// without estimators (fixed-size histograms and quadrant counters) for
+// budget accounting.
 const StatsFootprint = 4096
+
+// confFootprint is the retained size of one estimator's ConfStats: its
+// quadrants and mis-estimation distance histogram.
+const confFootprint = int64(unsafe.Sizeof(pipeline.ConfStats{}))
+
+// StatsBytes approximates the retained size of st for budget
+// accounting: StatsFootprint plus one ConfStats per attached
+// estimator, which dominates for an estimator sweep's run.
+func StatsBytes(st *pipeline.Stats) int64 {
+	return StatsFootprint + int64(len(st.Confidence))*confFootprint
+}
 
 // Cache is the event tier: recorded speculative-event traces keyed by
 // TraceAddress. It is the generic LRU over Recording, with a Get that
 // unpacks the pair.
+//
+// Beside the traces it carries the run tier, Runs: the Stats of whole
+// simulations keyed by the experiments' RunAddress, so a run that two
+// cells or two experiments need (a policied pipeline and its
+// unpolicied baseline) is simulated once per cache lifetime. The run
+// tier shares the event tier's lifetime and scope — one per process,
+// server or perfbench pass — and its byte budget: each run is charged
+// StatsBytes against the same maxBytes that bounds the traces.
 type Cache struct {
 	*LRU[Recording]
+	Runs *LRU[*pipeline.Stats]
 }
 
 // NewCache returns an event-tier cache holding at most maxBytes of
-// trace data (DefaultCacheBytes when maxBytes <= 0), publishing the
-// specctrl_trace_* metrics when reg is non-nil.
+// traces and runs together (DefaultCacheBytes when maxBytes <= 0),
+// publishing the specctrl_trace_* and specctrl_run_* metrics when reg
+// is non-nil.
 func NewCache(maxBytes int64, reg *obs.Registry) *Cache {
-	return &Cache{NewLRU(maxBytes, reg, "specctrl_trace", func(r Recording) int64 {
-		return int64(r.Trace.Bytes()) + StatsFootprint
-	})}
+	traces := NewLRU(maxBytes, reg, "specctrl_trace", func(r Recording) int64 {
+		return int64(r.Trace.Bytes()) + StatsBytes(r.Stats)
+	})
+	return &Cache{LRU: traces, Runs: newSiblingLRU(traces, reg, "specctrl_run", StatsBytes)}
 }
 
 // Get returns the trace and base stats resident under addr; see

@@ -437,3 +437,43 @@ func testGetPut[V comparable](t *testing.T, h tier[V]) {
 		t.Fatalf("Len=%d after duplicate Put, want 1", c.Len())
 	}
 }
+
+// TestRunTierSharesTraceBudget: the run tier is charged StatsBytes per
+// run (one ConfStats per estimator on top of the fixed footprint)
+// against the event tier's budget, so maxBytes bounds traces and runs
+// together, and each tier evicts only its own entries.
+func TestRunTierSharesTraceBudget(t *testing.T) {
+	run := &pipeline.Stats{Confidence: make([]pipeline.ConfStats, 80)}
+	if got, want := StatsBytes(run), int64(StatsFootprint)+80*confFootprint; got != want || confFootprint < 1024 {
+		t.Fatalf("StatsBytes = %d, want %d (ConfStats %d B)", got, want, confFootprint)
+	}
+	if StatsBytes(&pipeline.Stats{}) != StatsFootprint {
+		t.Fatal("an estimator-free run is not charged StatsFootprint")
+	}
+
+	rec := eventTier.value(400)
+	recBytes := int64(rec.Trace.Bytes()) + StatsBytes(rec.Stats)
+	max := recBytes + 2*StatsBytes(run) + recBytes/2
+	c := NewCache(max, nil)
+	c.Put("trace", rec)
+	for i := 0; i < 4; i++ {
+		c.Runs.Put(fmt.Sprint("run", i), run)
+		if total := c.Bytes() + c.Runs.Bytes(); total > max {
+			t.Fatalf("after run %d: traces %d + runs %d > budget %d", i, c.Bytes(), c.Runs.Bytes(), max)
+		}
+	}
+	if _, _, ok := c.Get("trace"); !ok {
+		t.Fatal("a run insert evicted the event tier's trace")
+	}
+	if n := c.Runs.Len(); n != 2 {
+		t.Fatalf("run tier holds %d runs beside the trace, want 2", n)
+	}
+	// A trace insert that no longer fits evicts the older trace, not runs.
+	c.Put("trace2", eventTier.value(400))
+	if _, _, ok := c.Get("trace"); ok {
+		t.Fatal("older trace survived an over-budget trace insert")
+	}
+	if n := c.Runs.Len(); n != 2 {
+		t.Fatalf("trace insert evicted runs: %d left, want 2", n)
+	}
+}

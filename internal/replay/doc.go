@@ -1,7 +1,8 @@
 // Package replay records branch streams of a pipeline simulation and
 // re-evaluates predictors and confidence estimators against the
 // recordings without re-running the pipeline. It provides two trace
-// tiers, one per reuse boundary:
+// tiers, one per reuse boundary, plus a run tier for runs no trace can
+// stand in for:
 //
 //	arch tier    ArchTrace  per workload              (pc, outcome)
 //	events tier  Trace      per (workload, predictor) full fetch events
@@ -62,11 +63,26 @@
 // recording — produce byte-identical results, because they reconstruct
 // the identical stream and share one evaluation loop.
 //
-// Each tier has a binary codec (magics "SPRT" and "SPAT") for shipping
-// traces between cluster nodes. Both tiers share one cache substrate,
-// the generic retained-bytes LRU with singleflight recording and an
-// optional Backing; Cache (the event tier, over Recording) and
-// ArchCache (the arch tier) differ only in value type, size function
-// and metric prefix. The same LRU is exported (NewLRU) as the resident
-// tier of serve.Store's decoded cells.
+// # Run tier
+//
+// Some runs cannot be replayed at all — a speculation-control policy
+// perturbs fetch timing, so its run is not the unpolicied recording —
+// but are still asked for more than once: a policied pipeline and its
+// unpolicied baseline recur across cells and experiments. Cache
+// therefore carries a third tier beside the event traces, Runs: the
+// pipeline.Stats of whole simulations, keyed by the experiments
+// layer's run address (trace identity plus the complete identity of
+// every attached estimator). It shares the event tier's lifetime and
+// byte budget (traces and runs count against one maxBytes, each tier
+// evicting only its own entries), publishes specctrl_run_* metrics, and
+// holds copies without event logs, shared and read-only.
+//
+// Each trace tier has a binary codec (magics "SPRT" and "SPAT") for
+// shipping traces between cluster nodes. All tiers share one cache
+// substrate, the generic retained-bytes LRU with singleflight
+// recording and an optional Backing; Cache (the event tier, over
+// Recording), its Runs (over *pipeline.Stats) and ArchCache (the arch
+// tier) differ only in value type, size function and metric prefix.
+// The same LRU is exported (NewLRU) as the resident tier of
+// serve.Store's decoded cells.
 package replay

@@ -193,15 +193,37 @@ TRACE_HITS=$(curl -s "$URL/metrics" | awk '/^specctrl_trace_hits_total/ {print $
 "$SMOKE/simctrl" -server "$URL" -exp sweepspace -synth-n 4 -committed 40000 \
     -synth-profile "$SMOKE/profile.json" > "$SMOKE/ssweep2.txt" 2> "$SMOKE/sstats2.txt"
 grep -q 'synth:' "$SMOKE/ssweep2.txt"
-! grep -q '(0 cached' "$SMOKE/sstats2.txt"
-! grep -q ' 0 simulated)' "$SMOKE/sstats2.txt"
+if grep -q '(0 cached' "$SMOKE/sstats2.txt"; then
+    echo "check.sh: sweepspace resubmission reused no cached cell" >&2
+    exit 1
+fi
+if grep -q ' 0 simulated)' "$SMOKE/sstats2.txt"; then
+    echo "check.sh: sweepspace resubmission simulated nothing for its new workload" >&2
+    exit 1
+fi
 
 # Served frontier smoke: the policy-sweep grid must come back from the
 # service byte-identical to the local run.
-"$SMOKE/simctrl" -server "$URL" -exp frontier -committed 60000 > "$SMOKE/frontier-served.txt"
+"$SMOKE/simctrl" -server "$URL" -exp frontier -committed 60000 \
+    > "$SMOKE/frontier-served.txt" 2> "$SMOKE/fstats.txt"
 cmp "$SMOKE/frontier-local.txt" "$SMOKE/frontier-served.txt"
-"$SMOKE/simctrl" -server "$URL" -exp abl-gating -committed 60000 > "$SMOKE/gating-served.txt"
+# The server computed every frontier cell (none came from its store), so
+# its run tier now holds frontier's 104 runs. abl-gating's baseline and
+# gate:{1,2,3}@{JRS(t=15),SatCnt} cells repeat 56 of them, and every
+# abl-gating run has a run address under the default -replay, so its 80
+# runs must record exactly 24 new run-tier entries.
+grep -q '(0 cached' "$SMOKE/fstats.txt"
+run_records() { curl -s "$URL/metrics" | awk '/^specctrl_run_records_total / {print $2}'; }
+RECORDS_BEFORE=$(run_records)
+"$SMOKE/simctrl" -server "$URL" -exp abl-gating -committed 60000 \
+    > "$SMOKE/gating-served.txt" 2> "$SMOKE/gstats.txt"
 cmp "$SMOKE/gating-local.txt" "$SMOKE/gating-served.txt"
+grep -q '(0 cached' "$SMOKE/gstats.txt"
+RECORDS_AFTER=$(run_records)
+[ -n "$RECORDS_BEFORE" ] && [ -n "$RECORDS_AFTER" ] && [ $((RECORDS_AFTER - RECORDS_BEFORE)) -eq 24 ] || {
+    echo "check.sh: served abl-gating after frontier must simulate 24 runs (specctrl_run_records_total '$RECORDS_BEFORE' -> '$RECORDS_AFTER')" >&2
+    exit 1
+}
 
 # Graceful drain: SIGTERM must exit 0.
 kill -TERM "$SERVED_PID"
