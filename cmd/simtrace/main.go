@@ -1,27 +1,29 @@
-// Command simtrace works with workload programs and branch traces:
-// disassemble a benchmark, record a speculative branch trace (the
-// paper's §3.1 instrumentation) to a compact binary file or a JSONL
-// debugging stream, or summarize a recorded trace without
+// Command simtrace works with workload programs and branch streams:
+// disassemble a benchmark, record a run's speculative branch events
+// (the paper's §3.1 instrumentation) as JSONL or its committed branch
+// stream as an SPAT file, or summarize a recorded JSONL stream without
 // re-simulating.
 //
 // Usage:
 //
-//	simtrace -w compress -dis                     # disassemble
-//	simtrace -w gcc -record /tmp/gcc.trc -committed 500000
-//	simtrace -w gcc -record-jsonl /tmp/gcc.jsonl  # greppable events
-//	simtrace -w gcc -record-branches /tmp/gcc.spbt # ingestable via -ingest-trace
-//	simtrace -summarize /tmp/gcc.trc
+//	simtrace -w compress -dis                          # disassemble
+//	simtrace -w gcc -record-jsonl /tmp/gcc.jsonl -committed 500000
+//	simtrace -w gcc -record-branches /tmp/gcc.spat    # ingestable via -ingest-trace
+//	simtrace -summarize /tmp/gcc.jsonl
 //
 // Recording streams events through the simulator's obs.Tracer hook —
-// the binary writer, the JSONL writer, and the SPBT branch-trace
-// writer (see docs/WORKLOADS.md) are sinks on the same stream and can
-// run simultaneously. Like simctrl, long recordings
-// accept -progress and -metrics-addr for live observation.
+// the JSONL writer and the committed-stream recorder (see
+// docs/WORKLOADS.md) are sinks on the same stream and can run
+// simultaneously. Like simctrl, long recordings accept -progress and
+// -metrics-addr for live observation.
 package main
 
 import (
+	"encoding/json"
+	"errors"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 
 	"specctrl/internal/bpred"
@@ -31,8 +33,8 @@ import (
 	"specctrl/internal/obs"
 	"specctrl/internal/obs/span"
 	"specctrl/internal/pipeline"
+	"specctrl/internal/replay"
 	"specctrl/internal/synth"
-	"specctrl/internal/trace"
 	"specctrl/internal/workload"
 )
 
@@ -41,13 +43,12 @@ func main() {
 		wname       = flag.String("w", "", "workload name (see -listw)")
 		listw       = flag.Bool("listw", false, "list workloads")
 		dis         = flag.Bool("dis", false, "disassemble the workload")
-		record      = flag.String("record", "", "simulate and write the binary branch trace to this file")
 		recordJSONL = flag.String("record-jsonl", "", "simulate and write JSONL branch events to this file")
-		recordSPBT  = flag.String("record-branches", "", "simulate and write an SPBT branch trace to this file (load back with -ingest-trace)")
-		summarize   = flag.String("summarize", "", "read a trace file and print its summary")
-		committed   = cliflags.Committed(flag.CommandLine, 500_000, "committed instructions for -record")
+		recordArch  = flag.String("record-branches", "", "simulate and write the committed branch stream as an SPAT file (load back with -ingest-trace)")
+		summarizeF  = flag.String("summarize", "", "read a -record-jsonl file and print its summary")
+		committed   = cliflags.Committed(flag.CommandLine, 500_000, "committed instructions to record")
 		iters       = flag.Int("iters", 1<<30, "workload outer iterations")
-		pred        = flag.String("pred", "gshare", "predictor for -record: gshare|mcfarling|sag")
+		pred        = flag.String("pred", "gshare", "predictor to record with: gshare|mcfarling|sag")
 		obsFlags    = cliflags.RegisterObs(flag.CommandLine)
 		traceF      = cliflags.RegisterTrace(flag.CommandLine)
 	)
@@ -58,8 +59,8 @@ func main() {
 		for _, w := range workload.Suite() {
 			fmt.Printf("%-9s %s\n", w.Name, w.Description)
 		}
-	case *summarize != "":
-		if err := doSummarize(*summarize); err != nil {
+	case *summarizeF != "":
+		if err := doSummarize(os.Stdout, *summarizeF); err != nil {
 			fail(err)
 		}
 	case *dis:
@@ -71,23 +72,22 @@ func main() {
 		fmt.Printf("%s: %d instructions, %d data words\n\n",
 			p.Name, len(p.Code), len(p.Data))
 		fmt.Print(isa.Disassemble(p, nil))
-	case *record != "" || *recordJSONL != "" || *recordSPBT != "":
+	case *recordJSONL != "" || *recordArch != "":
 		opts := recordOptions{
 			workload:  *wname,
 			predictor: *pred,
-			binPath:   *record,
 			jsonlPath: *recordJSONL,
-			spbtPath:  *recordSPBT,
+			archPath:  *recordArch,
 			committed: *committed,
 			iters:     *iters,
 			obs:       obsFlags,
 			trace:     traceF,
 		}
-		if err := doRecord(opts); err != nil {
+		if _, err := doRecord(opts); err != nil {
 			fail(err)
 		}
 	default:
-		fmt.Fprintln(os.Stderr, "simtrace: nothing to do (try -listw, -dis, -record, -record-jsonl, -record-branches, -summarize)")
+		fmt.Fprintln(os.Stderr, "simtrace: nothing to do (try -listw, -dis, -record-jsonl, -record-branches, -summarize)")
 		flag.Usage()
 		os.Exit(2)
 	}
@@ -112,48 +112,43 @@ func newPredictor(name string) (bpred.Predictor, error) {
 
 type recordOptions struct {
 	workload, predictor string
-	binPath, jsonlPath  string
-	spbtPath            string
+	jsonlPath, archPath string
 	committed           uint64
 	iters               int
 	obs                 cliflags.Obs
 	trace               cliflags.Trace
 }
 
-func doRecord(o recordOptions) error {
+// doRecord simulates one run with a JRS estimator attached, writes the
+// requested recordings, and returns the run's statistics.
+func doRecord(o recordOptions) (*pipeline.Stats, error) {
 	w, err := workload.ByName(o.workload)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	pred, err := newPredictor(o.predictor)
 	if err != nil {
-		return err
+		return nil, err
 	}
 
-	// Assemble the sink stack: binary and/or JSONL, fanned out from
-	// the simulator's tracer hook.
+	// Both sinks fan out from the simulator's tracer hook. The JSONL
+	// file streams as the run goes; the committed stream is written
+	// after the run, once it is known to be ingestable.
 	var sinks []obs.Tracer
-	var binSink *trace.Sink
 	var jsonlSink *obs.JSONL
-	var spbtSink *synth.TraceSink
-	var files []*os.File
-	for _, f := range []struct {
-		path string
-		mk   func(f *os.File)
-	}{
-		{o.binPath, func(f *os.File) { binSink = trace.NewSink(f); sinks = append(sinks, binSink) }},
-		{o.jsonlPath, func(f *os.File) { jsonlSink = obs.NewJSONL(f); sinks = append(sinks, jsonlSink) }},
-		{o.spbtPath, func(f *os.File) { spbtSink = synth.NewTraceSink(f); sinks = append(sinks, spbtSink) }},
-	} {
-		if f.path == "" {
-			continue
+	var jsonlFile *os.File
+	if o.jsonlPath != "" {
+		if jsonlFile, err = os.Create(o.jsonlPath); err != nil {
+			return nil, err
 		}
-		file, err := os.Create(f.path)
-		if err != nil {
-			return err
-		}
-		files = append(files, file)
-		f.mk(file)
+		defer jsonlFile.Close()
+		jsonlSink = obs.NewJSONL(jsonlFile)
+		sinks = append(sinks, jsonlSink)
+	}
+	var arch *replay.ArchRecorder
+	if o.archPath != "" {
+		arch = replay.NewArchRecorder()
+		sinks = append(sinks, arch)
 	}
 
 	cfg := pipeline.DefaultConfig()
@@ -163,7 +158,7 @@ func doRecord(o recordOptions) error {
 	tracer := o.trace.NewTracer()
 	started, err := o.obs.Start("simtrace", os.Stderr, tracer)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	defer started.Stop()
 	if started.Registry != nil {
@@ -178,67 +173,82 @@ func doRecord(o recordOptions) error {
 	cfg.Estimators = []conf.Estimator{conf.NewJRS(conf.DefaultJRS)}
 	sim, err := pipeline.New(cfg, w.Build(o.iters), pred)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	rec := tracer.Root("record:"+w.Name+"/"+o.predictor,
 		span.Str("workload", w.Name), span.Str("predictor", o.predictor))
-	_, runErr := sim.Run()
+	stats, runErr := sim.Run()
 	rec.End()
 	if runErr != nil {
-		return runErr
+		return nil, runErr
 	}
 	if t := cfg.Tracer; t != nil {
 		if err := t.Close(); err != nil {
-			return err
+			return nil, err
 		}
-	}
-	for _, f := range files {
-		if err := f.Close(); err != nil {
-			return err
-		}
-	}
-	if binSink != nil {
-		info, err := os.Stat(o.binPath)
-		if err != nil {
-			return err
-		}
-		fmt.Printf("wrote %d events (%d bytes, %.1f B/event) to %s\n",
-			binSink.Count(), info.Size(),
-			float64(info.Size())/float64(max(binSink.Count(), 1)), o.binPath)
 	}
 	if jsonlSink != nil {
+		if err := jsonlFile.Close(); err != nil {
+			return nil, err
+		}
 		fmt.Printf("wrote %d JSONL events to %s\n", jsonlSink.Count(), o.jsonlPath)
 	}
-	if spbtSink != nil {
-		info, err := os.Stat(o.spbtPath)
-		if err != nil {
-			return err
+	if arch != nil {
+		arch.SetCommitted(stats.Committed)
+		at := arch.Trace()
+		// Refuse to write a file -ingest-trace would reject.
+		if err := synth.CheckTrace(at); err != nil {
+			return nil, fmt.Errorf("-record-branches: %w (shorten the run)", err)
 		}
-		fmt.Printf("wrote SPBT branch trace (%d bytes) to %s; load with -ingest-trace\n",
-			info.Size(), o.spbtPath)
+		data := at.Encode()
+		if err := os.WriteFile(o.archPath, data, 0o644); err != nil {
+			return nil, err
+		}
+		fmt.Printf("wrote SPAT branch trace (%d branches, %d bytes) to %s; load with -ingest-trace\n",
+			at.Branches(), len(data), o.archPath)
 	}
-	return o.trace.Finish(tracer, "simtrace", os.Stderr)
+	return stats, o.trace.Finish(tracer, "simtrace", os.Stderr)
 }
 
-func doSummarize(path string) error {
+// doSummarize reads a -record-jsonl stream, one obs.BranchEvent object
+// per line, and prints its headline counts. Malformed input fails with
+// the index of the bad event.
+func doSummarize(w io.Writer, path string) error {
 	f, err := os.Open(path)
 	if err != nil {
 		return err
 	}
 	defer f.Close()
-	events, err := trace.Read(f)
-	if err != nil {
-		return err
+	dec := json.NewDecoder(f)
+	dec.DisallowUnknownFields()
+	var events, committed, wrongPath, mispredict, lowConf int
+	for ; ; events++ {
+		var e obs.BranchEvent
+		if err := dec.Decode(&e); errors.Is(err, io.EOF) {
+			break
+		} else if err != nil {
+			return fmt.Errorf("%s: event %d: %w", path, events, err)
+		}
+		if e.WrongPath {
+			wrongPath++
+			continue
+		}
+		committed++
+		if e.Pred != e.Outcome {
+			mispredict++
+		}
+		if !e.HighConf {
+			lowConf++
+		}
 	}
-	s := trace.Summarize(events)
-	fmt.Printf("events      %d\n", s.Events)
-	fmt.Printf("committed   %d\n", s.Committed)
-	fmt.Printf("wrong-path  %d\n", s.WrongPath)
-	if s.Committed > 0 {
-		fmt.Printf("mispredict  %d (%.1f%%)\n", s.Mispredict,
-			100*float64(s.Mispredict)/float64(s.Committed))
-		fmt.Printf("low-conf    %d (%.1f%%)\n", s.LowConf,
-			100*float64(s.LowConf)/float64(s.Committed))
+	fmt.Fprintf(w, "events      %d\n", events)
+	fmt.Fprintf(w, "committed   %d\n", committed)
+	fmt.Fprintf(w, "wrong-path  %d\n", wrongPath)
+	if committed > 0 {
+		fmt.Fprintf(w, "mispredict  %d (%.1f%%)\n", mispredict,
+			100*float64(mispredict)/float64(committed))
+		fmt.Fprintf(w, "low-conf    %d (%.1f%%)\n", lowConf,
+			100*float64(lowConf)/float64(committed))
 	}
 	return nil
 }

@@ -220,7 +220,7 @@ func RegisterSynth(fs *flag.FlagSet) Synth {
 		N: fs.Int(SynthNFlag, 0,
 			"sweepspace: how many latin-hypercube profiles to generate (0 = default 32)"),
 		Traces: fs.String(IngestTraceFlag, "",
-			"comma-separated SPBT branch-trace files (simtrace -record-branches) to ingest as replayable workloads"),
+			"comma-separated SPAT committed-branch trace files (simtrace -record-branches) to ingest as replayable workloads"),
 	}
 }
 

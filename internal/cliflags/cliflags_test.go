@@ -10,6 +10,8 @@ import (
 	"testing"
 	"time"
 
+	"specctrl/internal/obs"
+	"specctrl/internal/replay"
 	"specctrl/internal/synth"
 	"specctrl/internal/workload"
 )
@@ -181,12 +183,13 @@ func TestSynthLoad(t *testing.T) {
 	if err := os.WriteFile(profPath, profJSON, 0o644); err != nil {
 		t.Fatal(err)
 	}
-	trc, err := synth.EncodeTrace(&synth.Trace{SitePCs: []int64{8, 16}, Events: []uint32{1, 2, 3, 0}})
-	if err != nil {
-		t.Fatal(err)
+	rec := replay.NewArchRecorder()
+	for i, pc := range []int64{8, 16, 16, 8} {
+		rec.Branch(obs.BranchEvent{PC: pc, Outcome: i&1 == 0})
 	}
-	trcPath := filepath.Join(dir, "t.spbt")
-	if err := os.WriteFile(trcPath, trc, 0o644); err != nil {
+	rec.SetCommitted(16)
+	trcPath := filepath.Join(dir, "t.spat")
+	if err := os.WriteFile(trcPath, rec.Trace().Encode(), 0o644); err != nil {
 		t.Fatal(err)
 	}
 
@@ -241,7 +244,7 @@ func TestSynthLoad(t *testing.T) {
 	}{
 		{"negative n", []string{"-synth-n", "-1"}},
 		{"missing profile", []string{"-synth-profile", filepath.Join(dir, "nope.json")}},
-		{"missing trace", []string{"-ingest-trace", filepath.Join(dir, "nope.spbt")}},
+		{"missing trace", []string{"-ingest-trace", filepath.Join(dir, "nope.spat")}},
 		{"bad profile json", []string{"-synth-profile", trcPath}},
 		{"bad trace bytes", []string{"-ingest-trace", profPath}},
 	} {

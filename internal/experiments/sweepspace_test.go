@@ -3,6 +3,7 @@ package experiments
 import (
 	"testing"
 
+	"specctrl/internal/obs"
 	"specctrl/internal/replay"
 	"specctrl/internal/synth"
 )
@@ -65,12 +66,12 @@ func TestSweepSpaceExtraWorkloads(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	tr := &synth.Trace{SitePCs: []int64{8, 16}, Events: []uint32{1, 2, 3, 0}}
-	data, err := synth.EncodeTrace(tr)
-	if err != nil {
-		t.Fatal(err)
+	rec := replay.NewArchRecorder()
+	for i, pc := range []int64{8, 16, 16, 8} {
+		rec.Branch(obs.BranchEvent{PC: pc, Outcome: i&1 == 0})
 	}
-	traceName, err := synth.FromTrace(data)
+	rec.SetCommitted(16)
+	traceName, err := synth.FromTrace(rec.Trace().Encode())
 	if err != nil {
 		t.Fatal(err)
 	}

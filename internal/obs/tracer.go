@@ -10,8 +10,8 @@ import (
 // BranchEvent is the structured per-branch record the simulator hands
 // to a Tracer: one event per fetched conditional branch, committed and
 // wrong-path alike. It mirrors the pipeline's event layout without
-// importing it, so sinks (including internal/trace's binary writer)
-// can live below the simulator in the dependency graph.
+// importing it, so sinks (obs.JSONL, the replay recorders) can live
+// below the simulator in the dependency graph.
 type BranchEvent struct {
 	PC        int64  `json:"pc"`
 	Pred      bool   `json:"pred"`
@@ -33,8 +33,9 @@ type Tracer interface {
 }
 
 // JSONL is a Tracer that writes one JSON object per line — the
-// debugging sink: human-greppable, trivially consumed by jq or a
-// spreadsheet, at roughly 20× the size of the binary trace format.
+// interchange form of the event stream (simtrace -record-jsonl, read
+// back by simtrace -summarize): human-greppable and trivially consumed
+// by jq or a spreadsheet.
 type JSONL struct {
 	mu  sync.Mutex
 	bw  *bufio.Writer

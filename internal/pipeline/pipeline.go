@@ -118,9 +118,9 @@ type Config struct {
 	Policy Policy
 
 	// Tracer, when non-nil, receives one structured event per fetched
-	// conditional branch (the obs hook behind internal/trace's binary
-	// writer and obs.JSONL). Nil is the null sink: the hot path pays a
-	// single nil-check.
+	// conditional branch (the obs hook behind obs.JSONL and the replay
+	// recorders). Nil is the null sink: the hot path pays a single
+	// nil-check.
 	Tracer obs.Tracer
 	// Metrics, when non-nil, receives live gauges (cycles, IPC,
 	// per-bucket cycle accounts, per-estimator SENS/SPEC/PVP/PVN

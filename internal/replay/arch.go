@@ -71,6 +71,16 @@ func (t *ArchTrace) Branches() int { return t.branches }
 // run, for synthesizing the Stats fields replay cannot observe.
 func (t *ArchTrace) Committed() uint64 { return t.committed }
 
+// Each calls fn with every committed branch's pc and direction, in
+// program order.
+func (t *ArchTrace) Each(fn func(pc int64, taken bool)) {
+	for _, c := range t.chunks {
+		for k := 0; k < c.n; k++ {
+			fn(c.pc[k], c.taken(k))
+		}
+	}
+}
+
 // Bytes estimates the trace's retained memory; the arch cache's LRU
 // budget accounts entries with it.
 func (t *ArchTrace) Bytes() int {

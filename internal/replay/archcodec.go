@@ -19,8 +19,9 @@
 // classes (conditional-direct vs. indirect vs. return) without a magic
 // bump; in version 1 every branch is conditional-direct and the byte is
 // zero. As with the event-trace codec, Decode validates canonical form
-// — padding bits clear, no trailing bytes — so Encode∘DecodeArch is the
-// identity on DecodeArch's output.
+// — minimal varints, only the last chunk short, padding bits clear, no
+// trailing bytes — so each trace has exactly one encoding and
+// Encode∘DecodeArch is the identity on DecodeArch's input.
 
 package replay
 
@@ -59,9 +60,10 @@ func (t *ArchTrace) Encode() []byte {
 }
 
 // DecodeArch parses and validates an encoded arch trace. The returned
-// trace is structurally sound and canonical: padding bits in the last
-// outcome word of each chunk are clear and the input has no trailing
-// bytes, so re-encoding a decoded trace reproduces the input bytes.
+// trace is structurally sound and canonical: varints are minimal, only
+// the last chunk is short, padding bits in the last outcome word of
+// each chunk are clear, and the input has no trailing bytes, so
+// re-encoding a decoded trace reproduces the input bytes.
 func DecodeArch(data []byte) (*ArchTrace, error) {
 	if len(data) < len(archMagic)+2 {
 		return nil, ErrBadMagic
@@ -100,6 +102,11 @@ func DecodeArch(data []byte) (*ArchTrace, error) {
 		}
 		if n == 0 || n > archChunkTokens {
 			return nil, corruptf("chunk %d: branch count %d out of range (1..%d)", ci, n, archChunkTokens)
+		}
+		// Canonical form: only the last chunk may be short, as in
+		// every recording.
+		if n != archChunkTokens && ci+1 < nchunks {
+			return nil, corruptf("chunk %d: %d branches in a chunk before the last, want %d", ci, n, archChunkTokens)
 		}
 		words := (int(n) + 63) / 64
 		c := &archChunk{n: int(n), outcomes: make([]uint64, words)}

@@ -119,6 +119,10 @@ func TestDecodeArchErrors(t *testing.T) {
 		{"padding outcome bits set", []byte("SPAT\x01\x00\x00\x01\x01\x02"), ErrCorrupt},
 		{"truncated body", truncated, ErrCorrupt},
 		{"trailing bytes", trailing, ErrCorrupt},
+		// Canonical form: each trace has exactly one encoding.
+		{"overlong committed", []byte("SPAT\x01\x00\x85\x00\x01\x02\x01\x10\x10"), ErrCorrupt},
+		{"overlong pc delta", []byte("SPAT\x01\x00\x05\x01\x02\x01\x90\x00\x10"), ErrCorrupt},
+		{"short chunk before the last", []byte("SPAT\x01\x00\x00\x02\x01\x01\x10\x01\x00\x02"), ErrCorrupt},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -19,7 +19,8 @@
 // match payload counts, padding bits must be zero, reserved flag bits
 // must be zero, and the running committed-minus-resolved balance must
 // never go negative — so a successfully decoded trace is safe to hand
-// to Replay, and Encode∘Decode is the identity on Decode's output.
+// to Replay. It also requires canonical form (minimal varints, only the
+// last chunk short), so Encode∘Decode is the identity on Decode's input.
 
 package replay
 
@@ -97,6 +98,12 @@ func (d *decoder) uvarint() (uint64, error) {
 	if n <= 0 {
 		return 0, corruptf("truncated varint at offset %d", d.off)
 	}
+	// Canonical form: binary.Uvarint accepts overlong encodings (a
+	// final 0x00 group), and two byte streams must not decode to one
+	// trace.
+	if n > 1 && d.buf[d.off+n-1] == 0 {
+		return 0, corruptf("non-minimal varint at offset %d", d.off)
+	}
 	d.off += n
 	return v, nil
 }
@@ -148,6 +155,11 @@ func Decode(data []byte) (*Trace, error) {
 		}
 		if ntok == 0 || ntok > chunkTokens {
 			return nil, corruptf("chunk %d: token count %d out of range (1..%d)", ci, ntok, chunkTokens)
+		}
+		// Canonical form: only the last chunk may be short, as in
+		// every recording.
+		if ntok != chunkTokens && ci+1 < nchunks {
+			return nil, corruptf("chunk %d: %d tokens in a chunk before the last, want %d", ci, ntok, chunkTokens)
 		}
 		c := &chunk{n: int(ntok), kinds: make([]uint64, chunkTokens/64)}
 		words := (c.n + 63) / 64

@@ -68,7 +68,7 @@ func TestDecodeErrors(t *testing.T) {
 	}{
 		{"empty", nil, ErrBadMagic},
 		{"short", []byte("SPR"), ErrBadMagic},
-		{"wrong magic", []byte("SPCT\x01\x00"), ErrBadMagic},
+		{"wrong magic", []byte("SPAT\x01\x00"), ErrBadMagic},
 		{"wrong version", []byte("SPRT\x63\x00"), ErrVersion},
 		{"truncated after header", []byte("SPRT\x01"), ErrCorrupt},
 		{"absurd chunk count", append([]byte("SPRT\x01"), 0xff, 0xff, 0xff, 0xff, 0x0f), ErrCorrupt},
@@ -77,6 +77,10 @@ func TestDecodeErrors(t *testing.T) {
 		{"reserved flag bits", corruptKinds, ErrCorrupt},
 		{"zero tokens in chunk", []byte("SPRT\x01\x01\x00"), ErrCorrupt},
 		{"resolve with nothing pending", []byte("SPRT\x01\x01\x01\x00"), ErrCorrupt},
+		// Canonical form: each trace has exactly one encoding.
+		{"overlong chunk count", []byte("SPRT\x01\x80\x00"), ErrCorrupt},
+		{"overlong hist", []byte("SPRT\x01\x01\x01\x01\x00\x80\x00\x00\x00"), ErrCorrupt},
+		{"short chunk before the last", []byte("SPRT\x01\x02\x01\x01\x00\x00\x00\x00\x01\x01\x00\x00\x00\x00"), ErrCorrupt},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			_, err := Decode(tc.data)

@@ -32,8 +32,8 @@ import (
 // contract). A miss runs once per address under the substrate's
 // singleflight, however many callers want it: the one recording reads
 // and verifies the file, or computes the cell and writes it. Residency
-// is bounded by replay.DefaultCacheBytes, charged replay.StatsFootprint
-// per Stats a cell holds; an evicted cell is read from disk again.
+// is bounded by replay.DefaultCacheBytes, charged replay.StatsBytes per
+// Stats a cell holds; an evicted cell is read from disk again.
 //
 // Layout: <dir>/<first two hex digits>/<address>.json, sharded to keep
 // directories small. Each file is an envelope naming its address and
@@ -80,10 +80,19 @@ func newStore(dir string, reg *obs.Registry, maxBytes int64) (*Store, error) {
 	}, nil
 }
 
-// cellFootprint charges a resident cell one Stats footprint for its
-// headline stats (or extras) plus one per policy-sweep run.
+// cellFootprint charges a resident cell what its Stats hold: StatsBytes
+// (which grows with the estimator count) for its headline stats and for
+// each policy-sweep run, and one StatsFootprint for an extras-only
+// cell, whose Stats is nil.
 func cellFootprint(c experiments.CellResult) int64 {
-	return int64(1+len(c.Runs)) * replay.StatsFootprint
+	n := int64(replay.StatsFootprint)
+	if c.Stats != nil {
+		n = replay.StatsBytes(c.Stats)
+	}
+	for _, r := range c.Runs {
+		n += replay.StatsBytes(r)
+	}
+	return n
 }
 
 // Dir returns the store's root directory.

@@ -11,10 +11,12 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+	"unsafe"
 
 	"specctrl/internal/experiments"
 	"specctrl/internal/obs"
 	"specctrl/internal/pipeline"
+	"specctrl/internal/replay"
 )
 
 // addr returns a syntactically valid content address for tests.
@@ -425,5 +427,25 @@ func TestStoreEnvelopeVerified(t *testing.T) {
 				t.Errorf("entry not rewritten as its envelope: %s", repaired)
 			}
 		})
+	}
+}
+
+// TestCellFootprint: a resident cell is charged for the estimator
+// stats it holds (about 1.1 KB of ConfStats per estimator), for its
+// headline Stats and each policy-sweep run; an extras-only cell is
+// charged one StatsFootprint.
+func TestCellFootprint(t *testing.T) {
+	conf := int64(unsafe.Sizeof(pipeline.ConfStats{}))
+	st := &pipeline.Stats{Confidence: make([]pipeline.ConfStats, 80)}
+	if got := cellFootprint(experiments.CellResult{Stats: st}); got < 80*conf {
+		t.Errorf("80-estimator cell charged %d B, want >= %d", got, 80*conf)
+	}
+	withRuns := experiments.CellResult{Stats: st, Runs: []*pipeline.Stats{st, st}}
+	if got := cellFootprint(withRuns); got < 3*80*conf {
+		t.Errorf("cell with two 80-estimator runs charged %d B, want >= %d", got, 3*80*conf)
+	}
+	extras := experiments.CellResult{Extra: map[string]float64{"v": 1}}
+	if got := cellFootprint(extras); got != replay.StatsFootprint {
+		t.Errorf("extras-only cell charged %d B, want %d", got, replay.StatsFootprint)
 	}
 }

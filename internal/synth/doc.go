@@ -35,11 +35,11 @@
 // profile per paper benchmark to that benchmark's Table 1 band, the
 // generator's calibration proof.
 //
-// The ingestion half (FromTrace) decodes a versioned branch-trace file
-// (magic "SPBT": per-site PCs plus a packed outcome stream, written by
-// TraceSink from any obs.BranchEvent source, e.g. simtrace
-// -record-branches) and registers a workload that replays the recorded
-// outcome sequence through per-site branch instructions, making real
-// program traces first-class scenarios with typed decode errors and
-// fuzz coverage mirroring internal/replay.
+// The ingestion half (FromTrace) decodes a committed-branch trace in
+// internal/replay's SPAT format (replay.ArchRecorder output, e.g.
+// simtrace -record-branches) and registers a workload that replays the
+// recorded outcome sequence through per-site branch instructions,
+// making real program traces first-class scenarios. Decode errors are
+// replay's typed errors; a stream with more than 4096 distinct branch
+// sites or 2^20 branches fails with ErrTraceBounds (CheckTrace).
 package synth

@@ -1,56 +1,41 @@
 package synth
 
 import (
-	"bytes"
 	"errors"
-	"reflect"
+	"strings"
 	"testing"
+
+	"specctrl/internal/replay"
+	"specctrl/internal/workload"
 )
 
-// FuzzTraceDecode pins the decoder's contract on arbitrary input: it
-// either fails with one of the three typed errors, or yields a valid
-// trace whose canonical re-encoding round-trips and is never larger
-// than the accepted input.
-func FuzzTraceDecode(f *testing.F) {
-	if valid, err := EncodeTrace(testTrace()); err == nil {
-		f.Add(valid)
-	}
-	f.Add([]byte("SPBT\x01\x01\x40\x01\x01"))
-	f.Add([]byte("SPBT\x01\x02\x40\x08\x02\x01\x03"))
-	f.Add([]byte("SPBT\x02\x01\x40\x01\x01"))
-	f.Add([]byte("SPBT\x01"))
-	f.Add([]byte("NOPE"))
+// FuzzFromTrace pins ingestion's contract on arbitrary input: it never
+// panics, and either fails with one of replay's typed decode errors or
+// ErrTraceBounds, or registers a workload under a synth:t- name.
+func FuzzFromTrace(f *testing.F) {
+	f.Add(encodeStream([]int64{0x40, 0x48, 0x100, 0x40}, func(i int) bool { return i&1 == 0 }))
+	f.Add([]byte("SPAT\x01\x00\x05\x01\x02\x01\x10\x10"))
+	f.Add([]byte("SPAT\x01\x00\x85\x00\x01\x02\x01\x10\x10")) // overlong varint
+	f.Add([]byte("SPAT\x02\x00\x00\x00"))                     // future version
+	f.Add([]byte("SPAT\x01\x00\x05\x00"))                     // empty stream
+	f.Add([]byte("SPRT\x01\x00"))                             // the event-trace format's magic
+	f.Add([]byte(`{"pc":64,"pred":true,"outcome":true,"hc":true,"cycle":3}`))
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, data []byte) {
-		tr, err := DecodeTrace(data)
+		name, err := FromTrace(data)
 		if err != nil {
-			if !errors.Is(err, ErrBadMagic) && !errors.Is(err, ErrVersion) && !errors.Is(err, ErrCorrupt) {
-				t.Fatalf("untyped decode error: %v", err)
+			for _, typed := range []error{replay.ErrBadMagic, replay.ErrVersion, replay.ErrCorrupt, ErrTraceBounds} {
+				if errors.Is(err, typed) {
+					return
+				}
 			}
-			return
+			t.Fatalf("untyped FromTrace error: %v", err)
 		}
-		if err := tr.Validate(); err != nil {
-			t.Fatalf("decoded trace fails Validate: %v", err)
+		if !strings.HasPrefix(name, workload.SynthPrefix+"t-") {
+			t.Fatalf("FromTrace name %q lacks the synth:t- namespace", name)
 		}
-		enc, err := EncodeTrace(tr)
-		if err != nil {
-			t.Fatalf("re-encode of decoded trace: %v", err)
-		}
-		// Varint padding means accepted input may be non-minimal; the
-		// canonical form is never longer and round-trips exactly.
-		if len(enc) > len(data) {
-			t.Fatalf("canonical encoding (%d bytes) larger than input (%d bytes)", len(enc), len(data))
-		}
-		tr2, err := DecodeTrace(enc)
-		if err != nil {
-			t.Fatalf("decode of canonical encoding: %v", err)
-		}
-		if !reflect.DeepEqual(tr, tr2) {
-			t.Fatal("canonical encoding does not round-trip")
-		}
-		enc2, err := EncodeTrace(tr2)
-		if err != nil || !bytes.Equal(enc, enc2) {
-			t.Fatalf("canonical encoding unstable: %v", err)
+		if _, err := workload.ByName(name); err != nil {
+			t.Fatalf("ingested workload %q not registered: %v", name, err)
 		}
 	})
 }

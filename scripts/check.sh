@@ -98,21 +98,38 @@ cmp "$SMOKE/local.txt" "$SMOKE/traced.txt"
 go run ./scripts/tracecheck -min-events 1 -want-span 'cell:' "$SMOKE/run.trace.json"
 grep -q 'slowest' "$SMOKE/trace.log"
 
-# Synth smoke (docs/WORKLOADS.md): record an SPBT branch trace, ingest
-# it plus a profile vector, and render the sweepspace panel — replay
-# (the default) must match -replay off byte-for-byte, and both the
-# profile-backed and the trace-backed rows must appear.
+# Simtrace smoke: -record-jsonl writes the speculative event stream,
+# -summarize reads it back and counts committed branches, and the JSONL
+# file is not an ingestable trace (refused for its magic).
+"$SMOKE/simtrace" -w gcc -record-jsonl "$SMOKE/gcc.jsonl" -committed 40000
+"$SMOKE/simtrace" -summarize "$SMOKE/gcc.jsonl" > "$SMOKE/gcc-summary.txt"
+grep -Eq '^committed +[1-9][0-9]*$' "$SMOKE/gcc-summary.txt"
+if "$SMOKE/simctrl" -exp sweepspace -synth-n 1 -committed 40000 \
+    -ingest-trace "$SMOKE/gcc.jsonl" > /dev/null 2> "$SMOKE/ingest-jsonl.log"; then
+    echo "check.sh: simctrl -ingest-trace accepted a JSONL event stream" >&2
+    exit 1
+fi
+grep -q 'bad magic' "$SMOKE/ingest-jsonl.log"
+
+# Synth smoke (docs/WORKLOADS.md): record an SPAT committed-branch
+# trace, ingest it plus a profile vector, and render the sweepspace
+# panel — replay (the default) must match -replay off byte-for-byte,
+# and both the profile-backed and the trace-backed rows must appear.
 cat > "$SMOKE/profile.json" <<'EOF'
 {"seed": 7, "sites": 24, "density": 0.10, "taken": 0.7, "spread": 0.2}
 EOF
-"$SMOKE/simtrace" -w compress -record-branches "$SMOKE/compress.spbt" -committed 40000
+"$SMOKE/simtrace" -w compress -record-branches "$SMOKE/compress.spat" -committed 40000
+[ "$(head -c 4 "$SMOKE/compress.spat")" = SPAT ] || {
+    echo "check.sh: simtrace -record-branches did not write an SPAT file" >&2
+    exit 1
+}
 "$SMOKE/simctrl" -exp sweepspace -synth-n 4 -committed 40000 \
-    -ingest-trace "$SMOKE/compress.spbt" > "$SMOKE/sweep-base.txt"
+    -ingest-trace "$SMOKE/compress.spat" > "$SMOKE/sweep-base.txt"
 "$SMOKE/simctrl" -exp sweepspace -synth-n 4 -committed 40000 \
-    -ingest-trace "$SMOKE/compress.spbt" -synth-profile "$SMOKE/profile.json" \
+    -ingest-trace "$SMOKE/compress.spat" -synth-profile "$SMOKE/profile.json" \
     > "$SMOKE/sweep.txt"
 "$SMOKE/simctrl" -replay off -exp sweepspace -synth-n 4 -committed 40000 \
-    -ingest-trace "$SMOKE/compress.spbt" -synth-profile "$SMOKE/profile.json" \
+    -ingest-trace "$SMOKE/compress.spat" -synth-profile "$SMOKE/profile.json" \
     > "$SMOKE/sweep-direct.txt"
 cmp "$SMOKE/sweep.txt" "$SMOKE/sweep-direct.txt"
 grep -q 'synth:t-' "$SMOKE/sweep.txt"
@@ -160,7 +177,7 @@ start_served() {
     URL=$(cat "$SMOKE/addr")
 }
 
-start_served "$SMOKE/simserved.log" -ingest-trace "$SMOKE/compress.spbt"
+start_served "$SMOKE/simserved.log" -ingest-trace "$SMOKE/compress.spat"
 
 "$SMOKE/simctrl" -server "$URL" -exp table3 -committed 60000 \
     > "$SMOKE/served1.txt" 2> "$SMOKE/stats1.txt"
@@ -176,7 +193,7 @@ cmp "$SMOKE/local.txt" "$SMOKE/served2.txt"
 grep -q '(0 cached' "$SMOKE/stats1.txt"
 grep -q ' 0 simulated)' "$SMOKE/stats2.txt"
 
-# Served synth smoke: the server ingested compress.spbt at startup, so a
+# Served synth smoke: the server ingested compress.spat at startup, so a
 # sweepspace job renders the trace-backed row byte-identically to the
 # local run, and replay evaluation inside the job must hit the server's
 # in-memory trace cache (record once, replay per estimator config).
