@@ -9,7 +9,6 @@ import (
 	"specctrl/internal/conf"
 	"specctrl/internal/gating"
 	"specctrl/internal/metrics"
-	"specctrl/internal/pipeline"
 	"specctrl/internal/policy"
 	"specctrl/internal/runner"
 	"specctrl/internal/workload"
@@ -272,24 +271,10 @@ func AblationIndirect(p Params) (*AblationIndirectResult, error) {
 		if err != nil {
 			return CellResult{}, err
 		}
-		if sp.Variant == "base" {
-			st, err := p.runOne(w, GshareSpec(), false)
-			if err != nil {
-				return CellResult{}, fmt.Errorf("ablation indirect base %s: %w", w.Name, err)
-			}
-			return CellResult{Stats: st}, nil
-		}
-		cfg := p.Pipeline
-		cfg.MaxCommitted = p.MaxCommitted
-		cfg.IndirectPrediction = true
-		sim, err := pipeline.New(cfg, buildProgram(w, p.BuildIters), bpred.NewGshare(p.GshareBits))
+		p.Pipeline.IndirectPrediction = sp.Variant == "btb"
+		st, err := p.runOne(w, GshareSpec(), false)
 		if err != nil {
-			return CellResult{}, fmt.Errorf("ablation indirect btb %s: %w", w.Name, err)
-		}
-		p.progress("run %-9s with BTB/RAS", w.Name)
-		st, err := sim.Run()
-		if err != nil {
-			return CellResult{}, fmt.Errorf("ablation indirect btb %s: %w", w.Name, err)
+			return CellResult{}, fmt.Errorf("ablation indirect %s %s: %w", sp.Variant, w.Name, err)
 		}
 		return CellResult{Stats: st}, nil
 	})

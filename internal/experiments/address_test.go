@@ -1,6 +1,7 @@
 package experiments
 
 import (
+	"strings"
 	"testing"
 
 	"specctrl/internal/conf"
@@ -36,10 +37,20 @@ func TestCellAddressZeroSeedCanonical(t *testing.T) {
 
 // TestCellAddressSensitivity perturbs every determinism-relevant input
 // one at a time: each must move the address, or two different
-// simulations would collide in the cache and serve wrong results.
+// simulations would collide in the cache and serve wrong results. Each
+// pipeline perturbation must also move the run address, or the run
+// tier would serve one machine's Stats for another's.
 func TestCellAddressSensitivity(t *testing.T) {
 	base := DefaultParams().CellAddress(addrSpec())
 	seen := map[string]string{"base": base}
+	runAddr := func(p Params) string {
+		addr, ok := p.RunAddress(addrSpec().Workload, McFarlingSpec(), nil)
+		if !ok {
+			t.Fatal("RunAddress refused an estimator-free run")
+		}
+		return addr
+	}
+	baseRun := runAddr(DefaultParams())
 
 	perturb := func(name string, mutate func(*Params), spec runner.Spec) {
 		p := DefaultParams()
@@ -49,6 +60,9 @@ func TestCellAddressSensitivity(t *testing.T) {
 		addr := p.CellAddress(spec)
 		if addr == base {
 			t.Errorf("%s: perturbation did not change the address", name)
+		}
+		if strings.HasPrefix(name, "Pipeline.") && runAddr(p) == baseRun {
+			t.Errorf("%s: perturbation did not change the run address", name)
 		}
 		if prev, dup := seen[addr]; dup {
 			t.Errorf("%s collides with %s", name, prev)

@@ -4,9 +4,7 @@ import (
 	"context"
 	"fmt"
 
-	"specctrl/internal/bpred"
 	"specctrl/internal/conf"
-	"specctrl/internal/obs"
 	"specctrl/internal/obs/span"
 	"specctrl/internal/pipeline"
 	"specctrl/internal/profile"
@@ -72,43 +70,14 @@ func (p Params) archCache() *replay.ArchCache {
 // configuration (gshare, no estimators) with an ArchRecorder attached
 // and returns the committed branch-outcome stream.
 func (p Params) recordArch(w workload.Workload) (*replay.ArchTrace, error) {
-	var rs *span.Span
-	if p.Tracer != nil {
-		rs = p.Tracer.Child(p.SpanParent, "arch-record", span.Str("workload", w.Name))
-		defer rs.End()
-	}
 	rec := replay.NewArchRecorder()
-	cfg := p.Pipeline
-	cfg.MaxCommitted = p.MaxCommitted
-	cfg.Tracer = rec
-	if p.Obs != nil {
-		cfg.Metrics = p.Obs
-		cfg.MetricsLabels = obs.Labels{"workload": w.Name, "predictor": "gshare"}
-	}
-	if p.Run != nil {
-		cfg.Progress = p.Run
-		p.Run.StartRun(w.Name+"/arch", p.MaxCommitted)
-	}
-	sim, err := pipeline.New(cfg, buildProgram(w, p.BuildIters), bpred.NewGshare(p.GshareBits))
-	if err != nil {
-		return nil, fmt.Errorf("arch record %s: %w", w.Name, err)
-	}
-	p.progress("arch %-9s", w.Name)
-	st, err := sim.Run()
+	p.Pipeline.Tracer = rec
+	st, err := p.simulate(kindArch, w, buildProgram(w, p.BuildIters), GshareSpec(), false, nil)
 	if err != nil {
 		return nil, err
 	}
 	rec.SetCommitted(st.Committed)
-	t := rec.Trace()
-	if rs != nil {
-		rs.SetAttrs(span.Int("branches", int64(t.Branches())), span.Int("cycles", int64(st.Cycles)))
-	}
-	if p.Obs != nil {
-		p.Obs.Histogram("specctrl_run_ipc", obs.Labels{"predictor": "gshare"}, ipcBounds).
-			Observe(st.IPC())
-		p.Obs.Counter("specctrl_runs_total", nil).Inc()
-	}
-	return t, nil
+	return rec.Trace(), nil
 }
 
 // archStreamFor returns the workload's committed branch stream by
@@ -116,36 +85,39 @@ func (p Params) recordArch(w workload.Workload) (*replay.ArchTrace, error) {
 // (recording through it on a miss, singleflight), a derivation from
 // the canonical predictor's event-tier trace, or — under ReplayOff — a
 // fresh uncached recording. Every route reconstructs the identical
-// stream; differential tests pin that.
+// stream; differential tests pin that. When traced, the lookup gets an
+// "arch" span carrying the route's outcome and the stream's length.
 func (p Params) archStreamFor(w workload.Workload) (*replay.ArchTrace, error) {
 	var ts *span.Span
 	if p.Tracer != nil {
 		ts = p.Tracer.Child(p.SpanParent, "arch", span.Str("workload", w.Name))
 		defer ts.End()
 	}
+	var t *replay.ArchTrace
+	var outcome replay.Outcome
+	var err error
 	switch p.Replay {
 	case ReplayOff:
-		if ts != nil {
-			ts.SetAttrs(span.Str("outcome", "direct"))
-		}
-		return p.recordArch(w)
+		outcome = "direct"
+		t, err = p.recordArch(w)
 	case ReplayEvents:
+		outcome = "events"
 		tr, base, err := p.traceFor(w, GshareSpec())
 		if err != nil {
 			return nil, err
 		}
-		if ts != nil {
-			ts.SetAttrs(span.Str("outcome", "events"))
-		}
-		return replay.ArchFromTrace(tr, base.Committed), nil
+		t = replay.ArchFromTrace(tr, base.Committed)
 	default: // ReplayArch, ReplayAuto, ""
-		t, outcome, err := p.archCache().GetOrRecordOutcome(p.Ctx, p.ArchTraceAddress(w.Name),
+		t, outcome, err = p.archCache().GetOrRecordOutcome(p.Ctx, p.ArchTraceAddress(w.Name),
 			func() (*replay.ArchTrace, error) { return p.recordArch(w) })
-		if ts != nil {
-			ts.SetAttrs(span.Str("outcome", string(outcome)))
-		}
-		return t, err
 	}
+	if ts != nil {
+		ts.SetAttrs(span.Str("outcome", string(outcome)))
+		if err == nil {
+			ts.SetAttrs(span.Int("branches", int64(t.Branches())))
+		}
+	}
+	return t, err
 }
 
 // archStats assembles the Stats the canonical evaluation defines: the

@@ -7,7 +7,6 @@ import (
 
 	"specctrl/internal/conf"
 	"specctrl/internal/metrics"
-	"specctrl/internal/pipeline"
 	"specctrl/internal/runner"
 	"specctrl/internal/workload"
 )
@@ -45,28 +44,16 @@ func depthCell(_ context.Context, p Params, sp runner.Spec) (CellResult, error) 
 	if err != nil {
 		return CellResult{}, err
 	}
-	var depth int
-	if _, err := fmt.Sscanf(sp.Variant, "d%d", &depth); err != nil {
+	if _, err := fmt.Sscanf(sp.Variant, "d%d", &p.Pipeline.ResolveDelay); err != nil {
 		return CellResult{}, fmt.Errorf("depth: bad variant %q: %w", sp.Variant, err)
 	}
-	cfg := p.Pipeline
-	cfg.ResolveDelay = depth
-	cfg.MaxCommitted = p.MaxCommitted
-	prog := buildProgram(w, p.BuildIters)
-	p.progress("depth %d on %s (%s)", depth, w.Name, sp.Predictor)
-	var sim *pipeline.Sim
+	spec, ests := GshareSpec(), []conf.Estimator{conf.NewJRS(conf.DefaultJRS)}
 	if sp.Predictor == SAgSpec().Name {
-		sim, err = pipeline.New(cfg, prog, SAgSpec().New(p))
-	} else {
-		cfg.Estimators = []conf.Estimator{conf.NewJRS(conf.DefaultJRS)}
-		sim, err = pipeline.New(cfg, prog, GshareSpec().New(p))
+		spec, ests = SAgSpec(), nil
 	}
+	st, err := p.runOne(w, spec, false, ests...)
 	if err != nil {
-		return CellResult{}, fmt.Errorf("depth %d %s %s: %w", depth, w.Name, sp.Predictor, err)
-	}
-	st, err := sim.Run()
-	if err != nil {
-		return CellResult{}, fmt.Errorf("depth %d %s %s: %w", depth, w.Name, sp.Predictor, err)
+		return CellResult{}, fmt.Errorf("depth %s: %w", sp.Variant, err)
 	}
 	return CellResult{Stats: st}, nil
 }

@@ -294,7 +294,8 @@ func buildProgram(w workload.Workload, iters int) *isa.Program {
 }
 
 // runOne returns the statistics of one workload on one predictor with
-// the given estimators under p.Pipeline.Policy (none when nil).
+// the given estimators under p.Pipeline (its policy, resolve depth,
+// target prediction, ...).
 //
 // A run that records no events is served from the run tier
 // (replay.Cache.Runs) keyed by RunAddress, so each identical run is
@@ -309,21 +310,23 @@ func buildProgram(w workload.Workload, iters int) *isa.Program {
 // site-stats collection (side channels only a real run feeds), and
 // estimators without a complete identity.
 func (p Params) runOne(w workload.Workload, spec PredictorSpec, record bool, ests ...conf.Estimator) (*pipeline.Stats, error) {
+	prog := buildProgram(w, p.BuildIters)
 	if record || p.Replay == ReplayOff || p.Pipeline.Tracer != nil || p.Pipeline.CollectSiteStats {
-		return p.simulate(p.SpanParent, w, spec, record, ests)
+		return p.simulate(kindRun, w, prog, spec, record, ests)
 	}
 	addr, ok := p.RunAddress(w.Name, spec, ests)
 	if !ok {
-		return p.simulate(p.SpanParent, w, spec, false, ests)
+		return p.simulate(kindRun, w, prog, spec, false, ests)
 	}
 	var rs *span.Span
 	if p.Tracer != nil {
 		rs = p.Tracer.Child(p.SpanParent, "run",
 			span.Str("workload", w.Name), span.Str("predictor", spec.Name))
 		defer rs.End()
+		p.SpanParent = rs.Context()
 	}
 	st, outcome, err := p.traceCache().Runs.GetOrRecordOutcome(p.Ctx, addr, func() (*pipeline.Stats, error) {
-		return p.simulate(rs.Context(), w, spec, false, ests)
+		return p.simulate(kindRun, w, prog, spec, false, ests)
 	})
 	if rs != nil {
 		o := string(outcome)
@@ -347,19 +350,33 @@ func (p Params) runEstimators(ests []conf.Estimator) []conf.Estimator {
 	return append(append(make([]conf.Estimator, 0, len(ests)+len(base)), ests...), base...)
 }
 
-// simulate runs one simulation of w on spec carrying the cell
-// estimators ests under p.Pipeline.Policy, publishing live
-// metrics under {workload, predictor} labels when Params carries an obs
-// registry or progress view. Without record it returns a copy of the
-// run's Stats, so a holder does not keep the whole simulator alive.
-func (p Params) simulate(parent span.Context, w workload.Workload, spec PredictorSpec, record bool, ests []conf.Estimator) (*pipeline.Stats, error) {
+// runKind names what a simulation is for: the span it opens and the
+// verb of its -v line.
+type runKind struct{ span, verb string }
+
+var (
+	kindRun     = runKind{"simulate", "run"}
+	kindProfile = runKind{"simulate", "profile"}
+	kindRecord  = runKind{"record", "record"}
+	kindArch    = runKind{"arch-record", "arch"}
+)
+
+// simulate runs prog (w's program or an alternative input of it) once
+// on spec, carrying the cell estimators ests, under p.Pipeline as the
+// caller shaped it. It is the package's one pipeline.New call, so every
+// simulation opens one span under p.SpanParent, prints one -v line,
+// publishes live metrics under {workload, predictor} labels when Params
+// carries an obs registry or progress view, and counts in
+// specctrl_runs_total. Without record it returns a copy of the run's
+// Stats, so a holder does not keep the whole simulator alive.
+func (p Params) simulate(kind runKind, w workload.Workload, prog *isa.Program, spec PredictorSpec, record bool, ests []conf.Estimator) (*pipeline.Stats, error) {
 	var rs *span.Span
 	if p.Tracer != nil {
 		pol := "none"
 		if p.Pipeline.Policy != nil {
 			pol = p.Pipeline.Policy.Name()
 		}
-		rs = p.Tracer.Child(parent, "simulate",
+		rs = p.Tracer.Child(p.SpanParent, kind.span,
 			span.Str("workload", w.Name), span.Str("predictor", spec.Name),
 			span.Int("estimators", int64(len(ests))), span.Str("policy", pol))
 		defer rs.End()
@@ -376,14 +393,14 @@ func (p Params) simulate(parent span.Context, w workload.Workload, spec Predicto
 		cfg.Progress = p.Run
 		p.Run.StartRun(w.Name+"/"+spec.Name, p.MaxCommitted)
 	}
-	sim, err := pipeline.New(cfg, buildProgram(w, p.BuildIters), spec.New(p))
+	sim, err := pipeline.New(cfg, prog, spec.New(p))
 	if err != nil {
-		return nil, fmt.Errorf("run %s/%s: %w", w.Name, spec.Name, err)
+		return nil, fmt.Errorf("%s %s/%s: %w", kind.verb, w.Name, spec.Name, err)
 	}
-	p.progress("run %-9s on %-9s (%d estimators)", w.Name, spec.Name, len(ests))
+	p.progress("%s %-9s on %-9s (%d estimators)", kind.verb, w.Name, spec.Name, len(ests))
 	st, err := sim.Run()
 	if err != nil {
-		return nil, err
+		return nil, fmt.Errorf("%s %s/%s: %w", kind.verb, w.Name, spec.Name, err)
 	}
 	if !record {
 		kept := *st
@@ -400,14 +417,25 @@ func (p Params) simulate(parent span.Context, w workload.Workload, spec Predicto
 	return st, nil
 }
 
+// profileSites runs a site-statistics profiling pass of prog (w's
+// program or an alternative input of it) on spec.
+func (p Params) profileSites(w workload.Workload, prog *isa.Program, spec PredictorSpec) (map[int64]*pipeline.SiteStats, error) {
+	p.Pipeline.CollectSiteStats = true
+	st, err := p.simulate(kindProfile, w, prog, spec, false, nil)
+	if err != nil {
+		return nil, err
+	}
+	return st.Sites, nil
+}
+
 // staticFor runs the profiling pass and builds the static estimator for
 // one (workload, predictor) pair.
 func (p Params) staticFor(w workload.Workload, spec PredictorSpec) (conf.Static, error) {
-	cfg := p.Pipeline
-	cfg.MaxCommitted = p.MaxCommitted
-	p.progress("profile %-9s on %-9s", w.Name, spec.Name)
-	return profile.Collect(cfg, buildProgram(w, p.BuildIters), spec.New(p),
-		profile.Options{Threshold: p.StaticThreshold})
+	sites, err := p.profileSites(w, buildProgram(w, p.BuildIters), spec)
+	if err != nil {
+		return conf.Static{}, err
+	}
+	return profile.FromSites(sites, profile.Options{Threshold: p.StaticThreshold}), nil
 }
 
 // suite returns the benchmark suite (indirection point for tests).

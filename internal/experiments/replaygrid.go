@@ -58,31 +58,9 @@ func (p Params) traceCache() *replay.Cache {
 // the base statistics are identical to an estimator-less run; its
 // Confidence entry is stripped before the stats are shared.
 func (p Params) recordTrace(w workload.Workload, spec PredictorSpec) (*replay.Trace, *pipeline.Stats, error) {
-	var rs *span.Span
-	if p.Tracer != nil {
-		rs = p.Tracer.Child(p.SpanParent, "record",
-			span.Str("workload", w.Name), span.Str("predictor", spec.Name))
-		defer rs.End()
-	}
 	rec := replay.NewRecorder()
-	cfg := p.Pipeline
-	cfg.MaxCommitted = p.MaxCommitted
-	cfg.Estimators = []conf.Estimator{rec}
-	cfg.Tracer = rec
-	if p.Obs != nil {
-		cfg.Metrics = p.Obs
-		cfg.MetricsLabels = obs.Labels{"workload": w.Name, "predictor": spec.Name}
-	}
-	if p.Run != nil {
-		cfg.Progress = p.Run
-		p.Run.StartRun(w.Name+"/"+spec.Name, p.MaxCommitted)
-	}
-	sim, err := pipeline.New(cfg, buildProgram(w, p.BuildIters), spec.New(p))
-	if err != nil {
-		return nil, nil, fmt.Errorf("record %s/%s: %w", w.Name, spec.Name, err)
-	}
-	p.progress("record %-9s on %-9s", w.Name, spec.Name)
-	st, err := sim.Run()
+	p.Pipeline.Tracer = rec
+	st, err := p.simulate(kindRecord, w, buildProgram(w, p.BuildIters), spec, false, []conf.Estimator{rec})
 	if err != nil {
 		return nil, nil, err
 	}
@@ -91,14 +69,6 @@ func (p Params) recordTrace(w workload.Workload, spec PredictorSpec) (*replay.Tr
 		return nil, nil, fmt.Errorf("record %s/%s: %w", w.Name, spec.Name, err)
 	}
 	st.Confidence = nil
-	if rs != nil {
-		rs.SetAttrs(span.Int("events", int64(tr.Events())), span.Int("cycles", int64(st.Cycles)))
-	}
-	if p.Obs != nil {
-		p.Obs.Histogram("specctrl_run_ipc", obs.Labels{"predictor": spec.Name}, ipcBounds).
-			Observe(st.IPC())
-		p.Obs.Counter("specctrl_runs_total", nil).Inc()
-	}
 	return tr, st, nil
 }
 
@@ -107,7 +77,8 @@ func (p Params) recordTrace(w workload.Workload, spec PredictorSpec) (*replay.Tr
 // recording no matter how many cells want it first). When traced, the
 // cache consultation gets a "trace" span whose outcome attribute says
 // whether the trace was resident ("hit"), freshly recorded ("record"),
-// or shared from another cell's in-flight recording ("wait").
+// or shared from another cell's in-flight recording ("wait"), and whose
+// events attribute is the trace's length.
 func (p Params) traceFor(w workload.Workload, spec PredictorSpec) (*replay.Trace, *pipeline.Stats, error) {
 	var ts *span.Span
 	if p.Tracer != nil {
@@ -122,6 +93,9 @@ func (p Params) traceFor(w workload.Workload, spec PredictorSpec) (*replay.Trace
 		})
 	if ts != nil {
 		ts.SetAttrs(span.Str("outcome", string(outcome)))
+		if err == nil {
+			ts.SetAttrs(span.Int("events", int64(r.Trace.Events())))
+		}
 	}
 	return r.Trace, r.Stats, err
 }

@@ -4,10 +4,12 @@ import (
 	"encoding/json"
 	"reflect"
 	"sync"
+	"sync/atomic"
 	"testing"
 
 	"specctrl/internal/conf"
 	"specctrl/internal/obs"
+	"specctrl/internal/obs/span"
 	"specctrl/internal/pipeline"
 	"specctrl/internal/policy"
 	"specctrl/internal/replay"
@@ -221,6 +223,111 @@ func TestRunTierEntriesImmutable(t *testing.T) {
 		}
 		if !reflect.DeepEqual(*st, snap) {
 			t.Errorf("run %s changed after insert", addr[:12])
+		}
+	}
+}
+
+// TestRunAccountingOneSource: every simulation goes through simulate,
+// so over cold caches specctrl_runs_total, the simulate, record and
+// arch-record spans, and the -v lines count the same runs, profiling
+// passes, resolve-depth and BTB runs included.
+func TestRunAccountingOneSource(t *testing.T) {
+	for _, tc := range []struct{ exp, replay string }{
+		{"abl-depth", ""},
+		{"abl-indirect", ""},
+		{"xinput", ""},
+		{"tuned", ""},
+		{"table4", ""},
+		{"table2", ReplayOff},
+	} {
+		p := frontierParams()
+		p.Jobs = 2
+		p.Replay = tc.replay
+		p.Obs = obs.NewRegistry()
+		p.TraceCache = replay.NewCache(0, nil)
+		p.ArchCache = replay.NewArchCache(0, nil)
+		p.Tracer = span.New(span.Options{Capacity: 1 << 16})
+		var lines atomic.Uint64
+		p.Progress = func(string) { lines.Add(1) }
+		if _, err := Run(tc.exp, p); err != nil {
+			t.Fatalf("%s: %v", tc.exp, err)
+		}
+		var spans uint64
+		for _, s := range p.Tracer.Snapshot() {
+			switch s.Name {
+			case "simulate", "record", "arch-record":
+				spans++
+			}
+		}
+		if runs := runsTotal(p); runs == 0 || spans != runs || lines.Load() != runs {
+			t.Errorf("%s: specctrl_runs_total %d, %d simulation spans, %d -v lines; want them equal and nonzero",
+				tc.exp, runs, spans, lines.Load())
+		}
+	}
+}
+
+// TestRunTierServesAblations: abl-depth's resolve depth and
+// abl-indirect's BTB front end are pipeline fields RunAddress hashes,
+// so both experiments are served by the run tier: a first pass
+// simulates each of their runs once, and a second pass over the same
+// cache simulates nothing and renders the same bytes.
+func TestRunTierServesAblations(t *testing.T) {
+	p, ledger := ledgered(frontierParams())
+	p.Jobs = 2
+	names := []string{"abl-depth", "abl-indirect"}
+	first := renderAll(t, p, names...)
+	want := len(depthSweep)*len(suite())*2 + len(suite())*2
+	firstRuns := runsTotal(p)
+	if firstRuns != uint64(want) || len(ledger.simulated) != want {
+		t.Errorf("first pass: specctrl_runs_total = %d over %d addresses, want %d and %d",
+			firstRuns, len(ledger.simulated), want, want)
+	}
+	second := renderAll(t, p, names...)
+	if got := runsTotal(p); got != firstRuns {
+		t.Errorf("second pass simulated %d runs, want 0", got-firstRuns)
+	}
+	if !reflect.DeepEqual(first, second) {
+		t.Errorf("second pass renders differently:\n--- first ---\n%s--- second ---\n%s", first, second)
+	}
+}
+
+// TestRecordTraceStatsMatchDirectRun is the premise for letting an
+// event-tier recording fill the run tier's unpolicied, estimator-free
+// entries: for every suite workload and predictor, the base Stats
+// recordTrace returns equal a direct runOne's field by field, with nil
+// and empty Confidence, Events and Sites counted as equal.
+func TestRecordTraceStatsMatchDirectRun(t *testing.T) {
+	p := TestParams()
+	off := p
+	off.Replay = ReplayOff
+	for _, w := range suite() {
+		for _, spec := range AllPredictors() {
+			_, rec, err := p.recordTrace(w, spec)
+			if err != nil {
+				t.Fatal(err)
+			}
+			direct, err := off.runOne(w, spec, false)
+			if err != nil {
+				t.Fatal(err)
+			}
+			a, b := *rec, *direct
+			for _, st := range []*pipeline.Stats{&a, &b} {
+				if len(st.Confidence) == 0 {
+					st.Confidence = nil
+				}
+				if len(st.Events) == 0 {
+					st.Events = nil
+				}
+				if len(st.Sites) == 0 {
+					st.Sites = nil
+				}
+			}
+			va, vb := reflect.ValueOf(a), reflect.ValueOf(b)
+			for i := 0; i < va.NumField(); i++ {
+				if !reflect.DeepEqual(va.Field(i).Interface(), vb.Field(i).Interface()) {
+					t.Errorf("%s/%s: recorded and direct %s differ", w.Name, spec.Name, va.Type().Field(i).Name)
+				}
+			}
 		}
 	}
 }

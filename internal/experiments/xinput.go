@@ -6,7 +6,6 @@ import (
 
 	"specctrl/internal/conf"
 	"specctrl/internal/metrics"
-	"specctrl/internal/pipeline"
 	"specctrl/internal/profile"
 	"specctrl/internal/workload"
 )
@@ -41,31 +40,11 @@ func XInput(p Params) (*XInputResult, error) {
 		func(p Params, w workload.Workload) ([]conf.Estimator, error) {
 			// Profile pass on the reference input (self) and the
 			// alternative input (cross), both inside the cell.
-			profileOn := func(alt bool) (map[int64]*pipeline.SiteStats, error) {
-				cfg := p.Pipeline
-				cfg.MaxCommitted = p.MaxCommitted
-				cfg.CollectSiteStats = true
-				prog := buildProgram(w, p.BuildIters)
-				if alt {
-					prog = w.BuildSeeded(altSeed, p.BuildIters)
-				}
-				sim, err := pipeline.New(cfg, prog, GshareSpec().New(p))
-				if err != nil {
-					return nil, err
-				}
-				st, err := sim.Run()
-				if err != nil {
-					return nil, err
-				}
-				return st.Sites, nil
-			}
-			p.progress("xinput profile %s (self)", w.Name)
-			selfSites, err := profileOn(false)
+			selfSites, err := p.profileSites(w, buildProgram(w, p.BuildIters), GshareSpec())
 			if err != nil {
 				return nil, fmt.Errorf("xinput self %s: %w", w.Name, err)
 			}
-			p.progress("xinput profile %s (cross)", w.Name)
-			crossSites, err := profileOn(true)
+			crossSites, err := p.profileSites(w, w.BuildSeeded(altSeed, p.BuildIters), GshareSpec())
 			if err != nil {
 				return nil, fmt.Errorf("xinput cross %s: %w", w.Name, err)
 			}

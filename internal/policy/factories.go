@@ -10,10 +10,11 @@ import (
 
 // Factories bundles the per-run component constructors every
 // speculation-control driver takes — the one options type behind
-// gating.Run, smt.Run/Compare, and eager.Model.Measure, replacing those
-// packages' old positional `newPred, newEst` argument pairs. Factories (not instances) because predictors, most estimators,
-// and stateful policies carry run state: each simulated run gets a
-// fresh private set.
+// gating.Run and smt.Run/Compare, replacing those packages' old
+// positional `newPred, newEst` argument pairs. Factories (not
+// instances) because predictors, most estimators, and stateful
+// policies carry run state: each simulated run gets a fresh private
+// set.
 type Factories struct {
 	// Predictor constructs the branch predictor. Required.
 	Predictor func() bpred.Predictor

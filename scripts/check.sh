@@ -39,6 +39,15 @@ if grep -rn 'math/rand' internal/experiments internal/runner internal/workload i
     exit 1
 fi
 
+# One simulation entry point: Params.simulate is the only pipeline.New
+# call in the experiments layer, so every run opens one span, prints one
+# -v line and counts in specctrl_runs_total.
+n=$(grep -ro --include='*.go' --exclude='*_test.go' 'pipeline\.New(' internal/experiments | wc -l)
+if [ "$n" -gt 1 ]; then
+    echo "check.sh: $n pipeline.New calls in internal/experiments (route runs through Params.simulate)" >&2
+    exit 1
+fi
+
 # Bench gate: wall-clock and allocation regressions against the
 # checked-in baseline (BENCH_PIPELINE.json). A >5% min-of-count ns/op
 # regression (10% for the end-to-end runner) or any allocation on the
