@@ -346,7 +346,8 @@ const runAddressVersion = 1
 // runIdentity is the canonical identity of one simulation's Stats:
 // everything that shapes the run's event stream (traceIdentity, which
 // carries the pipeline identity and its policy) plus the complete
-// identity of every estimator the run carries, in order. The
+// identity of every estimator the run carries, in order, and whether
+// it collects per-site statistics. The
 // estimators are keyed even when no policy is installed: they do not
 // change timing then, but Stats.Confidence, CommittedQ and AllQ are
 // theirs.
@@ -354,6 +355,10 @@ type runIdentity struct {
 	AddressVersion int           `json:"addressVersion"`
 	Trace          traceIdentity `json:"trace"`
 	Estimators     []string      `json:"estimators"`
+	// Sites marks a profiling pass (CollectSiteStats), whose Stats
+	// carry per-site accuracy; omitted otherwise, so other runs keep
+	// their addresses.
+	Sites bool `json:"sites,omitempty"`
 }
 
 // RunAddress returns the content address of the Stats a
@@ -376,6 +381,7 @@ func (p Params) RunAddress(workload string, spec PredictorSpec, ests []conf.Esti
 		AddressVersion: runAddressVersion,
 		Trace:          p.traceID(workload, spec),
 		Estimators:     ids,
+		Sites:          p.Pipeline.CollectSiteStats,
 	}), true
 }
 

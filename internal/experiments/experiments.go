@@ -305,18 +305,23 @@ func buildProgram(w workload.Workload, iters int) *isa.Program {
 // traced, the tier consultation gets a "run" span whose outcome
 // attribute says whether the run was simulated here ("record"),
 // resident ("hit") or shared from another cell's in-flight simulation
-// ("dedup"). Runs the tier cannot serve always simulate: recordings,
-// -replay off (the direct escape hatch), base configs with a tracer or
-// site-stats collection (side channels only a real run feeds), and
-// estimators without a complete identity.
+// ("dedup"). A run with site-stats collection is a profiling pass: its
+// address says so, and its Stats carry the Sites. Runs the tier cannot
+// serve always simulate: recordings, -replay off (the direct escape
+// hatch), base configs with a tracer (a side channel only a real run
+// feeds), and estimators without a complete identity.
 func (p Params) runOne(w workload.Workload, spec PredictorSpec, record bool, ests ...conf.Estimator) (*pipeline.Stats, error) {
 	prog := buildProgram(w, p.BuildIters)
-	if record || p.Replay == ReplayOff || p.Pipeline.Tracer != nil || p.Pipeline.CollectSiteStats {
-		return p.simulate(kindRun, w, prog, spec, record, ests)
+	kind := kindRun
+	if p.Pipeline.CollectSiteStats {
+		kind = kindProfile
+	}
+	if record || p.Replay == ReplayOff || p.Pipeline.Tracer != nil {
+		return p.simulate(kind, w, prog, spec, record, ests)
 	}
 	addr, ok := p.RunAddress(w.Name, spec, ests)
 	if !ok {
-		return p.simulate(kindRun, w, prog, spec, false, ests)
+		return p.simulate(kind, w, prog, spec, false, ests)
 	}
 	var rs *span.Span
 	if p.Tracer != nil {
@@ -326,7 +331,7 @@ func (p Params) runOne(w workload.Workload, spec PredictorSpec, record bool, est
 		p.SpanParent = rs.Context()
 	}
 	st, outcome, err := p.traceCache().Runs.GetOrRecordOutcome(p.Ctx, addr, func() (*pipeline.Stats, error) {
-		return p.simulate(kindRun, w, prog, spec, false, ests)
+		return p.simulate(kind, w, prog, spec, false, ests)
 	})
 	if rs != nil {
 		o := string(outcome)
@@ -417,9 +422,24 @@ func (p Params) simulate(kind runKind, w workload.Workload, prog *isa.Program, s
 	return st, nil
 }
 
-// profileSites runs a site-statistics profiling pass of prog (w's
-// program or an alternative input of it) on spec.
-func (p Params) profileSites(w workload.Workload, prog *isa.Program, spec PredictorSpec) (map[int64]*pipeline.SiteStats, error) {
+// profileSites runs a site-statistics profiling pass of w's own
+// program on spec. It is a run like any other, so the run tier serves
+// it: table4, xinput and tuned profiling one workload on gshare
+// simulate it once. The returned map is shared and must not be
+// modified.
+func (p Params) profileSites(w workload.Workload, spec PredictorSpec) (map[int64]*pipeline.SiteStats, error) {
+	p.Pipeline.CollectSiteStats = true
+	st, err := p.runOne(w, spec, false)
+	if err != nil {
+		return nil, err
+	}
+	return st.Sites, nil
+}
+
+// profileInput runs a site-statistics profiling pass of prog, an
+// alternative input of w. Run addresses name w's own program, so the
+// run tier cannot serve it and it always simulates.
+func (p Params) profileInput(w workload.Workload, prog *isa.Program, spec PredictorSpec) (map[int64]*pipeline.SiteStats, error) {
 	p.Pipeline.CollectSiteStats = true
 	st, err := p.simulate(kindProfile, w, prog, spec, false, nil)
 	if err != nil {
@@ -431,7 +451,7 @@ func (p Params) profileSites(w workload.Workload, prog *isa.Program, spec Predic
 // staticFor runs the profiling pass and builds the static estimator for
 // one (workload, predictor) pair.
 func (p Params) staticFor(w workload.Workload, spec PredictorSpec) (conf.Static, error) {
-	sites, err := p.profileSites(w, buildProgram(w, p.BuildIters), spec)
+	sites, err := p.profileSites(w, spec)
 	if err != nil {
 		return conf.Static{}, err
 	}

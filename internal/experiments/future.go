@@ -123,7 +123,7 @@ func Tuned(p Params) (*TunedResult, error) {
 	stats, err := p.suiteStats("tuned", GshareSpec(), "main", len(grid),
 		func(p Params, w workload.Workload) ([]conf.Estimator, error) {
 			// Profile pass, inside the cell: the site stats never leave it.
-			sites, err := p.profileSites(w, buildProgram(w, p.BuildIters), GshareSpec())
+			sites, err := p.profileSites(w, GshareSpec())
 			if err != nil {
 				return nil, fmt.Errorf("tuned profile %s: %w", w.Name, err)
 			}

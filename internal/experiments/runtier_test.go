@@ -3,6 +3,7 @@ package experiments
 import (
 	"encoding/json"
 	"reflect"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -328,6 +329,49 @@ func TestRecordTraceStatsMatchDirectRun(t *testing.T) {
 					t.Errorf("%s/%s: recorded and direct %s differ", w.Name, spec.Name, va.Type().Field(i).Name)
 				}
 			}
+		}
+	}
+}
+
+// TestProfilePassesShareRunTier: table4's static profile on gshare,
+// xinput's self-input profile and tuned's profile are one run identity
+// per workload, so through one run tier they simulate once: 8 gshare
+// and 8 McFarling self-input passes plus xinput's 8 cross-input
+// passes, 24 profile simulations where each pass on its own made 40,
+// and 48 runs in all where they made 64. Under -replay off every pass
+// simulates (80 runs), and the renders are the same bytes.
+func TestProfilePassesShareRunTier(t *testing.T) {
+	names := []string{"table4", "xinput", "tuned"}
+	run := func(mode string) ([]string, uint64, uint64) {
+		p := TestParams()
+		p.Jobs = 2
+		p.Replay = mode
+		p.Obs = obs.NewRegistry()
+		p.TraceCache = replay.NewCache(0, p.Obs)
+		p.ArchCache = replay.NewArchCache(0, nil)
+		var profiles atomic.Uint64
+		p.Progress = func(line string) {
+			if strings.HasPrefix(line, "profile ") {
+				profiles.Add(1)
+			}
+		}
+		return renderAll(t, p, names...), runsTotal(p), profiles.Load()
+	}
+	tiered, runs, profiles := run("")
+	direct, directRuns, directProfiles := run(ReplayOff)
+	n := uint64(len(suite()))
+	if profiles != 3*n || directProfiles != 5*n {
+		t.Errorf("profile simulations: %d through the run tier, %d at -replay off; want %d and %d",
+			profiles, directProfiles, 3*n, 5*n)
+	}
+	if runs != 6*n || directRuns != 10*n {
+		t.Errorf("specctrl_runs_total: %d through the run tier, %d at -replay off; want %d and %d",
+			runs, directRuns, 6*n, 10*n)
+	}
+	for i := range tiered {
+		if tiered[i] != direct[i] {
+			t.Errorf("%s renders differently through the run tier:\n--- tier ---\n%s--- off ---\n%s",
+				names[i], tiered[i], direct[i])
 		}
 	}
 }

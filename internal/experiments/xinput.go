@@ -40,11 +40,11 @@ func XInput(p Params) (*XInputResult, error) {
 		func(p Params, w workload.Workload) ([]conf.Estimator, error) {
 			// Profile pass on the reference input (self) and the
 			// alternative input (cross), both inside the cell.
-			selfSites, err := p.profileSites(w, buildProgram(w, p.BuildIters), GshareSpec())
+			selfSites, err := p.profileSites(w, GshareSpec())
 			if err != nil {
 				return nil, fmt.Errorf("xinput self %s: %w", w.Name, err)
 			}
-			crossSites, err := p.profileSites(w, w.BuildSeeded(altSeed, p.BuildIters), GshareSpec())
+			crossSites, err := p.profileInput(w, w.BuildSeeded(altSeed, p.BuildIters), GshareSpec())
 			if err != nil {
 				return nil, fmt.Errorf("xinput cross %s: %w", w.Name, err)
 			}

@@ -36,11 +36,15 @@ func steadySim(t testing.TB, cfg Config) *Sim {
 // per-cycle hot path: after warm-up, Tick must not allocate at all.
 // Before the pending queue became a ring buffer, this path allocated
 // on nearly every fetched branch (~1.4M allocations per 200k-committed
-// run); any nonzero count here means a regression to that regime.
+// run); any nonzero count here means a regression to that regime. The
+// two JRS instances differ only in threshold, so the bank drives them
+// as a threshold group, and SatCounters solo.
 func TestSteadyStateAllocs(t *testing.T) {
 	cfg := testConfig()
 	cfg.MaxCycles = 0
-	cfg.Estimators = []conf.Estimator{conf.NewJRS(conf.DefaultJRS), conf.SatCounters{}}
+	half := conf.DefaultJRS
+	half.Threshold = 7
+	cfg.Estimators = []conf.Estimator{conf.NewJRS(conf.DefaultJRS), conf.NewJRS(half), conf.SatCounters{}}
 	sim := steadySim(t, cfg)
 	avg := testing.AllocsPerRun(10, func() {
 		for i := 0; i < 1000; i++ {

@@ -6,6 +6,7 @@ import (
 
 	"specctrl/internal/bpred"
 	"specctrl/internal/conf"
+	"specctrl/internal/metrics"
 )
 
 // Bank drives a set of confidence estimators through one branch stream
@@ -28,7 +29,7 @@ import (
 // Bank is single-goroutine state.
 type Bank struct {
 	confs  []ConfStats
-	dist   []int // committed branches since each estimator's last mis-estimate
+	dist   []int // committed branches since each solo estimator's last mis-estimate
 	groups []scoreGroup
 	solo   []soloEst
 }
@@ -43,7 +44,8 @@ func NewBank(ests []conf.Estimator) *Bank {
 // init builds the bank in place. Each scorer is tagged with its table's
 // lead (the first scorer with an equal Table key), and sorting by
 // (lead, cut) lays every threshold group out contiguously with cuts
-// ascending, so a bank costs a few slices whatever its group count.
+// ascending, and the groups' histograms share two slices (allocGroups),
+// so a bank costs a few slices whatever its group count.
 func (b *Bank) init(ests []conf.Estimator) {
 	b.confs = make([]ConfStats, len(ests))
 	b.dist = make([]int, len(ests))
@@ -96,7 +98,30 @@ func (b *Bank) init(ests []conf.Estimator) {
 		}
 		b.groups = append(b.groups, scoreGroup{leader: ests[run[0].lead].(conf.Scorer), members: run})
 	}
+	b.allocGroups()
 	slices.SortFunc(b.solo, func(x, y soloEst) int { return cmp.Compare(x.i, y.i) })
+}
+
+// allocGroups carves every group's histograms out of two bank-wide
+// slices.
+func (b *Bank) allocGroups() {
+	words, members := 0, 0
+	for _, g := range b.groups {
+		words += 4*(len(g.members)+1) + len(g.members)
+		members += len(g.members)
+	}
+	if members == 0 {
+		return
+	}
+	tally := make([]uint64, words)
+	gaps := make([]gapHist, members)
+	for gi := range b.groups {
+		g := &b.groups[gi]
+		n := len(g.members)
+		g.counts, tally = tally[:4*(n+1):4*(n+1)], tally[4*(n+1):]
+		g.last, tally = tally[:n:n], tally[n:]
+		g.gaps, gaps = gaps[:n:n], gaps[n:]
+	}
 }
 
 // addSolo drives estimator i on its own.
@@ -108,13 +133,22 @@ func (b *Bank) addSolo(i int, e conf.Estimator, n int) {
 }
 
 // Stats returns the per-estimator statistics accumulated so far, in the
-// order of the estimators NewBank was given.
-func (b *Bank) Stats() []ConfStats { return b.confs }
+// order of the estimators NewBank was given. The slice is the bank's
+// own and is rewritten in place by every later Stats call: threshold
+// group members' entries are derived from the group's histograms on
+// each read, while solo estimators' entries are kept live.
+func (b *Bank) Stats() []ConfStats {
+	for gi := range b.groups {
+		b.groups[gi].derive(b.confs)
+	}
+	return b.confs
+}
 
 // Fetch estimates one fetched conditional branch with every estimator
 // and records the verdicts: quadrants over all fetched branches and,
 // for committed ones, the committed quadrants and mis-estimation
-// distances. correct reports whether the prediction in info was right;
+// distances (for threshold groups, as the histograms Stats derives
+// them from). correct reports whether the prediction in info was right;
 // info is passed by pointer only to spare the copy, and is not retained.
 // It returns the first estimator's verdict (true when the bank is
 // empty) and the ConfMask, bit i set when estimator i said high
@@ -122,7 +156,7 @@ func (b *Bank) Stats() []ConfStats { return b.confs }
 func (b *Bank) Fetch(pc int64, info *bpred.Info, correct, committed bool) (hc0 bool, mask uint64) {
 	confs, dist := b.confs, b.dist
 	for gi := range b.groups {
-		mask |= b.groups[gi].fetch(b, pc, info, correct, committed)
+		mask |= b.groups[gi].fetch(pc, info, correct, committed)
 	}
 	for _, f := range b.solo {
 		var hc bool
@@ -192,9 +226,32 @@ type soloEst struct {
 // scoreGroup is a set of scorers identical except for their threshold.
 // Their state evolves identically, so the leader's score serves every
 // member and only the leader trains.
+//
+// A fetch costs the group one histogram count plus one gap close per
+// member that mis-estimated it; derive turns the histograms back into
+// every member's exact ConfStats. Member k (cuts ascending) said high
+// confidence exactly when the fetch's split exceeded k, so its
+// quadrants are prefix sums of counts over split. Its mis-estimation
+// distances are determined by the lengths of the runs of committed
+// fetches between its mis-estimates (gaps), and by the still-open run
+// since its last one.
 type scoreGroup struct {
 	leader  conf.Scorer
 	members []member // sorted by cut, ascending
+
+	// counts[(committed<<1|correct)*(len(members)+1) + split] counts
+	// fetches by kind and split.
+	counts []uint64
+	clock  uint64    // committed fetches so far
+	last   []uint64  // clock at each member's last mis-estimate
+	gaps   []gapHist // each member's closed gaps
+}
+
+// gapHist counts one member's closed gaps by length, clamped into the
+// last distance bucket; over sums how far the clamped gaps ran past it.
+type gapHist struct {
+	n    [DistanceBuckets]uint64
+	over uint64
 }
 
 // member is one scorer of a threshold group.
@@ -204,73 +261,112 @@ type member struct {
 	upTo   uint64 // ConfMask bits of the members up to and including this one
 }
 
-// fetch scores one fetch event and records it for every member,
-// returning the members' ConfMask bits. With cuts ascending, one scan
-// finds the high/low-confidence split for this score; each side then
-// updates its quadrant cells with the branchy decisions (correct × hc ×
-// mis-estimate) already made.
-func (g *scoreGroup) fetch(b *Bank, pc int64, info *bpred.Info, correct, committed bool) uint64 {
+// fetch scores one fetch event and records it, returning the members'
+// ConfMask bits. With cuts ascending, one scan finds the high/low
+// confidence split for this score; a committed fetch then closes the
+// gap of each member on the mis-estimating side of it: the low side
+// when the prediction was right, the high side when it was wrong.
+func (g *scoreGroup) fetch(pc int64, info *bpred.Info, correct, committed bool) uint64 {
 	var score int
 	if j, ok := g.leader.(*conf.JRS); ok {
 		score = j.Score(pc, *info)
 	} else {
 		score = g.leader.Score(pc, *info)
 	}
+	mem := g.members
 	split := 0
-	for split < len(g.members) && score >= g.members[split].cut {
+	for split < len(mem) && score >= mem[split].cut {
 		split++
 	}
-	mem, confs, dist := g.members, b.confs, b.dist
-	switch {
-	case correct && committed:
-		for _, m := range mem[:split] { // high confidence, estimate right
-			cs := &confs[m.i]
-			cs.AllQ.Chc++
-			cs.CommittedQ.Chc++
-			dist[m.i]++
-			cs.MisestCommitted.Record(dist[m.i], false)
+	kind := 0
+	if committed {
+		kind = 2
+	}
+	if correct {
+		kind |= 1
+	}
+	g.counts[kind*(len(mem)+1)+split]++
+	if committed {
+		g.clock++
+		lo, hi := split, len(mem)
+		if !correct {
+			lo, hi = 0, split
 		}
-		for _, m := range mem[split:] { // low confidence: a mis-estimate
-			cs := &confs[m.i]
-			cs.AllQ.Clc++
-			cs.CommittedQ.Clc++
-			dist[m.i]++
-			cs.MisestCommitted.Record(dist[m.i], true)
-			dist[m.i] = 0
-		}
-	case committed: // mispredicted: high confidence is the mis-estimate
-		for _, m := range mem[:split] {
-			cs := &confs[m.i]
-			cs.AllQ.Ihc++
-			cs.CommittedQ.Ihc++
-			dist[m.i]++
-			cs.MisestCommitted.Record(dist[m.i], true)
-			dist[m.i] = 0
-		}
-		for _, m := range mem[split:] {
-			cs := &confs[m.i]
-			cs.AllQ.Ilc++
-			cs.CommittedQ.Ilc++
-			dist[m.i]++
-			cs.MisestCommitted.Record(dist[m.i], false)
-		}
-	case correct:
-		for _, m := range mem[:split] {
-			confs[m.i].AllQ.Chc++
-		}
-		for _, m := range mem[split:] {
-			confs[m.i].AllQ.Clc++
-		}
-	default:
-		for _, m := range mem[:split] {
-			confs[m.i].AllQ.Ihc++
-		}
-		for _, m := range mem[split:] {
-			confs[m.i].AllQ.Ilc++
+		for k := lo; k < hi; k++ {
+			gap := g.clock - g.last[k]
+			g.last[k] = g.clock
+			h := &g.gaps[k]
+			if gap >= DistanceBuckets-1 {
+				h.n[DistanceBuckets-1]++
+				h.over += gap - (DistanceBuckets - 1)
+			} else {
+				h.n[gap]++
+			}
 		}
 	}
 	if split == 0 {
 		return 0
 	}
 	return mem[split-1].upTo
+}
+
+// derive writes every member's ConfStats into confs from the group's
+// histograms. It recomputes from scratch, so it may run at any point
+// of the stream, any number of times.
+func (g *scoreGroup) derive(confs []ConfStats) {
+	n := len(g.members)
+	row := func(kind int) []uint64 { return g.counts[kind*(n+1) : (kind+1)*(n+1)] }
+	wi, wc, ci, cc := row(0), row(1), row(2), row(3)
+	var total [4]uint64
+	for s := 0; s <= n; s++ {
+		total[0] += wi[s]
+		total[1] += wc[s]
+		total[2] += ci[s]
+		total[3] += cc[s]
+	}
+	var low [4]uint64 // fetches whose split is at most k: k said low
+	for k, m := range g.members {
+		low[0] += wi[k]
+		low[1] += wc[k]
+		low[2] += ci[k]
+		low[3] += cc[k]
+		cs := &confs[m.i]
+		cs.CommittedQ = metrics.Quadrant{
+			Chc: total[3] - low[3], Clc: low[3],
+			Ihc: total[2] - low[2], Ilc: low[2],
+		}
+		cs.AllQ = metrics.Quadrant{
+			Chc: cs.CommittedQ.Chc + total[1] - low[1], Clc: low[3] + low[1],
+			Ihc: cs.CommittedQ.Ihc + total[0] - low[0], Ilc: low[2] + low[0],
+		}
+		g.deriveMisest(&cs.MisestCommitted, k)
+	}
+}
+
+// deriveMisest rebuilds member k's mis-estimation distance histogram.
+// A closed gap of length d booked distances 1..d, the last one as a
+// mis-estimate; the open gap booked 1..its length, none of them
+// mis-estimates. Distances past the last bucket clamp into it.
+func (g *scoreGroup) deriveMisest(h *DistanceHist, k int) {
+	const top = DistanceBuckets - 1
+	gh := &g.gaps[k]
+	open := g.clock - g.last[k]
+	*h = DistanceHist{Mispredict: gh.n}
+	h.Total[top] = gh.n[top] + gh.over
+	if open >= top {
+		h.Total[top] += open - top + 1
+	}
+	// Below the last bucket, Total[d] counts the gaps, closed or open,
+	// at least d long.
+	atLeast := gh.n[top]
+	if open >= top {
+		atLeast++
+	}
+	for d := top - 1; d >= 1; d-- {
+		atLeast += gh.n[d]
+		if open == uint64(d) {
+			atLeast++
+		}
+		h.Total[d] = atLeast
+	}
 }

@@ -322,3 +322,59 @@ func TestFuzzCallLockstepIndirect(t *testing.T) {
 		t.Error(err)
 	}
 }
+
+// walkLowConf counts the ring's lowConf entries by walking it, the way
+// PendingLowConf was computed before the ring kept the count.
+func (r *inflightRing) walkLowConf() int {
+	n := 0
+	for i := 0; i < r.n; i++ {
+		if r.buf[(r.head+i)&(len(r.buf)-1)].lowConf {
+			n++
+		}
+	}
+	return n
+}
+
+// TestPendingLowConfMatchesRingWalk: on every Tick of the gating fuzz
+// programs, and of the call/return programs under the BTB/RAS front end
+// (whose indirect jumps enter the ring too), the ring's kept
+// low-confidence count equals a walk of the ring.
+func TestPendingLowConfMatchesRingWalk(t *testing.T) {
+	f := func(seed uint64, gateMask uint8, calls bool) bool {
+		prog := genProgram(seed)
+		cfg := DefaultConfig()
+		cfg.MaxCycles = 2_000_000
+		if calls {
+			prog = genCallProgram(seed)
+			cfg.IndirectPrediction = true
+			cfg.RASDepth = 4
+		}
+		sim := newSim(cfg, prog, bpred.NewGshare(8),
+			conf.NewJRS(conf.JRSConfig{Entries: 64, Bits: 4, Threshold: 3 + int(gateMask%8)}))
+		lowSeen := false
+		for cycle := 0; ; cycle++ {
+			done, err := sim.Tick((uint8(cycle)^gateMask)&3 != 0)
+			if err != nil {
+				t.Logf("seed %d: %v", seed, err)
+				return false
+			}
+			if got, want := sim.PendingLowConf(), sim.pending.walkLowConf(); got != want {
+				t.Logf("seed %d cycle %d: PendingLowConf %d, ring walk %d", seed, cycle, got, want)
+				return false
+			}
+			lowSeen = lowSeen || sim.PendingLowConf() > 0
+			if done {
+				break
+			}
+		}
+		sim.Finish()
+		if !lowSeen && sim.stats.CommittedQ.Clc+sim.stats.CommittedQ.Ilc > 0 {
+			t.Logf("seed %d: low-confidence branches fetched but never counted in flight", seed)
+			return false
+		}
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 120}); err != nil {
+		t.Error(err)
+	}
+}

@@ -74,6 +74,9 @@ func (s *Sim) publish() {
 		for b := CycleBucket(0); b < NumCycleBuckets; b++ {
 			g.buckets[b].SetUint(st.CycleAccounts[b])
 		}
+		if len(g.ests) != 0 {
+			s.bank.Stats() // derive the threshold groups' entries
+		}
 		for i := range g.ests {
 			q := st.Confidence[i].CommittedQ
 			eg := &g.ests[i]

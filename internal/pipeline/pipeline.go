@@ -737,7 +737,7 @@ func (s *Sim) onCondBranch(pc int64, outcome bool, takenTarget, notTakenTarget i
 	if s.ras != nil {
 		rasCkpt = s.ras.Checkpoint()
 	}
-	*s.pending.push() = inflight{
+	*s.pending.push(!hc0) = inflight{
 		pc: pc, info: info, ckpt: ckpt, outcome: outcome, pred: pred,
 		resolveCycle: s.cycle + uint64(s.cfg.ResolveDelay),
 		mispredicted: !correct,
@@ -850,13 +850,15 @@ func (s *Sim) tickDone() bool {
 func (s *Sim) finished() bool { return s.halted && s.pending.len() == 0 }
 
 // Finish seals the statistics after the last Tick: rolls back any
-// dangling wrong path and snapshots cache counters. Run calls it
+// dangling wrong path, derives the threshold groups' estimator
+// statistics (Bank.Stats) and snapshots cache counters. Run calls it
 // automatically; external schedulers must call it once when done.
 func (s *Sim) Finish() *Stats {
 	if s.wrongPath {
 		s.mem.Rollback()
 		s.wrongPath = false
 	}
+	s.bank.Stats() // derive the threshold groups' entries of Confidence
 	ih, im := s.icache.Stats()
 	dh, dm := s.dcache.Stats()
 	s.stats.ICacheHits, s.stats.ICacheMisses = ih, im
@@ -872,16 +874,9 @@ func (s *Sim) Done() bool { return s.finished() }
 
 // PendingLowConf returns the number of in-flight (fetched, unresolved)
 // conditional branches whose first-estimator confidence estimate was low.
-// Pipeline gating and SMT fetch policies key off this occupancy count.
-func (s *Sim) PendingLowConf() int {
-	n := 0
-	for i := 0; i < s.pending.len(); i++ {
-		if s.pending.at(i).lowConf {
-			n++
-		}
-	}
-	return n
-}
+// Pipeline gating and SMT fetch policies key off this occupancy count;
+// the pending ring keeps it, so reading it is O(1).
+func (s *Sim) PendingLowConf() int { return s.pending.lowConf() }
 
 // PendingBranches returns the number of in-flight conditional branches.
 func (s *Sim) PendingBranches() int { return s.pending.len() }
@@ -1070,7 +1065,7 @@ func (s *Sim) onIndirect(pc int64, predTarget, actual int64, isReturn bool, rasC
 		s.state.PC = predTarget
 		return
 	}
-	*s.pending.push() = inflight{
+	*s.pending.push(false) = inflight{
 		pc:           pc,
 		ckpt:         s.pred.Snapshot(),
 		resolveCycle: s.cycle + uint64(s.cfg.ResolveDelay),

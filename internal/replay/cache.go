@@ -50,8 +50,8 @@ type LRU[V any] struct {
 	flights map[string]*flight[V]
 	backing Backing[V]
 
-	records, hits, fetches, evictions *obs.Counter
-	gauge                             *obs.Gauge
+	records, hits, fetches, evictions, waits *obs.Counter
+	gauge                                    *obs.Gauge
 }
 
 // entry is one resident value; the lru list owns these.
@@ -89,8 +89,9 @@ type Backing[V any] interface {
 
 // NewLRU returns a cache holding at most maxBytes (DefaultCacheBytes
 // when maxBytes <= 0), charging size(v) per entry. When reg is non-nil
-// the cache publishes <prefix>_{records,hits,fetches,evictions}_total
-// and the <prefix>_cache_bytes gauge.
+// the cache publishes <prefix>_{records,hits,fetches,evictions}_total,
+// <prefix>_waits_total (callers that waited on another caller's
+// in-flight recording) and the <prefix>_cache_bytes gauge.
 func NewLRU[V any](maxBytes int64, reg *obs.Registry, prefix string, size func(V) int64) *LRU[V] {
 	if maxBytes <= 0 {
 		maxBytes = DefaultCacheBytes
@@ -118,6 +119,7 @@ func newLRU[V any](maxBytes int64, budget *atomic.Int64, reg *obs.Registry, pref
 		c.hits = reg.Counter(prefix+"_hits_total", nil)
 		c.fetches = reg.Counter(prefix+"_fetches_total", nil)
 		c.evictions = reg.Counter(prefix+"_evictions_total", nil)
+		c.waits = reg.Counter(prefix+"_waits_total", nil)
 		c.gauge = reg.Gauge(prefix+"_cache_bytes", nil)
 	}
 	return c
@@ -190,6 +192,7 @@ func (c *LRU[V]) GetOrRecordOutcome(ctx context.Context, addr string, record fun
 	}
 	if f, ok := c.flights[addr]; ok {
 		c.mu.Unlock()
+		inc(c.waits)
 		var cancelled <-chan struct{}
 		if ctx != nil {
 			cancelled = ctx.Done()
@@ -323,11 +326,16 @@ const StatsFootprint = 4096
 // quadrants and mis-estimation distance histogram.
 const confFootprint = int64(unsafe.Sizeof(pipeline.ConfStats{}))
 
+// siteFootprint is the retained size of one Stats.Sites entry: its
+// key, its pointer and the SiteStats it points to.
+const siteFootprint = int64(unsafe.Sizeof(int64(0)) + unsafe.Sizeof(&pipeline.SiteStats{}) + unsafe.Sizeof(pipeline.SiteStats{}))
+
 // StatsBytes approximates the retained size of st for budget
 // accounting: StatsFootprint plus one ConfStats per attached
-// estimator, which dominates for an estimator sweep's run.
+// estimator, which dominates for an estimator sweep's run, plus one
+// site entry per profiled branch site.
 func StatsBytes(st *pipeline.Stats) int64 {
-	return StatsFootprint + int64(len(st.Confidence))*confFootprint
+	return StatsFootprint + int64(len(st.Confidence))*confFootprint + int64(len(st.Sites))*siteFootprint
 }
 
 // Cache is the event tier: recorded speculative-event traces keyed by

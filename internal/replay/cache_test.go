@@ -403,6 +403,58 @@ func testFollowerCancel[V comparable](t *testing.T, h tier[V]) {
 	}
 }
 
+// Waits: every caller that joins another's in-flight recording counts
+// one wait, whether or not it stays for the result; resident hits and
+// the recording itself count none.
+func TestCacheWaits(t *testing.T)     { testWaits(t, eventTier) }
+func TestArchCacheWaits(t *testing.T) { testWaits(t, archTier) }
+
+func testWaits[V comparable](t *testing.T, h tier[V]) {
+	reg := obs.NewRegistry()
+	c := h.new(0, reg)
+	waits := reg.Counter(h.prefix+"_waits_total", nil)
+	var calls atomic.Int64
+	release := make(chan struct{})
+	started := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		c.GetOrRecord(context.Background(), "a", func() (V, error) {
+			calls.Add(1)
+			close(started)
+			<-release
+			return h.value(50), nil
+		})
+	}()
+	<-started
+	const followers = 5
+	for i := 0; i < followers; i++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if _, outcome, err := c.GetOrRecordOutcome(context.Background(), "a", h.recorder(&calls, 50)); err != nil || outcome != OutcomeWait {
+				t.Errorf("follower: outcome %s, err %v; want wait, nil", outcome, err)
+			}
+		}()
+	}
+	for deadline := time.Now().Add(5 * time.Second); waits.Value() < followers; {
+		if time.Now().After(deadline) {
+			t.Fatalf("waits = %d after 5s, want %d", waits.Value(), followers)
+		}
+		time.Sleep(time.Millisecond)
+	}
+	close(release)
+	wg.Wait()
+	c.GetOrRecord(context.Background(), "a", h.recorder(&calls, 50)) // resident hit
+	c.GetOrRecord(context.Background(), "b", h.recorder(&calls, 50)) // fresh recording
+	m := metricsDump(reg)
+	if m[h.prefix+"_waits_total"] != followers || m[h.prefix+"_records_total"] != 2 || calls.Load() != 2 {
+		t.Fatalf("waits %v, records %v, record calls %d; want %d, 2, 2",
+			m[h.prefix+"_waits_total"], m[h.prefix+"_records_total"], calls.Load(), followers)
+	}
+}
+
 // GetPut: Get peeks without recording; Put inserts a worker-uploaded
 // value and leaves an existing entry alone (first write wins — the
 // value at an address is deterministic).
@@ -439,7 +491,8 @@ func testGetPut[V comparable](t *testing.T, h tier[V]) {
 }
 
 // TestRunTierSharesTraceBudget: the run tier is charged StatsBytes per
-// run (one ConfStats per estimator on top of the fixed footprint)
+// run (one ConfStats per estimator and one entry per profiled branch
+// site on top of the fixed footprint)
 // against the event tier's budget, so maxBytes bounds traces and runs
 // together, and each tier evicts only its own entries.
 func TestRunTierSharesTraceBudget(t *testing.T) {
@@ -449,6 +502,10 @@ func TestRunTierSharesTraceBudget(t *testing.T) {
 	}
 	if StatsBytes(&pipeline.Stats{}) != StatsFootprint {
 		t.Fatal("an estimator-free run is not charged StatsFootprint")
+	}
+	profiled := &pipeline.Stats{Sites: map[int64]*pipeline.SiteStats{1: {}, 2: {}, 3: {}}}
+	if got, want := StatsBytes(profiled), int64(StatsFootprint)+3*siteFootprint; got != want || siteFootprint < 32 {
+		t.Fatalf("profiling run: StatsBytes = %d, want %d (site %d B)", got, want, siteFootprint)
 	}
 
 	rec := eventTier.value(400)

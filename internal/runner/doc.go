@@ -32,10 +32,19 @@
 //
 // # Scheduling
 //
-// Cells are dealt round-robin onto per-worker deques; an idle worker
-// steals half the largest remaining queue. Cell runtimes vary by an
-// order of magnitude across workloads (gcc vs compress), so stealing —
-// rather than a static partition — is what keeps the tail short.
+// Cells are dealt round-robin onto per-worker deques in workload-rank
+// order: every workload's first cell (Spec.Workload) before any
+// workload's second, spec order within a rank. A workload's first cell
+// is usually the one that records what its later cells replay, so each
+// recording starts before the replays that would wait on it, and at 2
+// workers over an even number of equally sized workloads each worker
+// replays the workloads it recorded itself. A grid whose cells share
+// one workload key is dealt in plain spec order. An idle worker steals
+// half the largest remaining queue. Cell runtimes vary by an order of
+// magnitude across workloads (gcc vs compress), so stealing — rather
+// than a static partition — is what keeps the tail short. The deal
+// order changes only who runs a cell when: results stay positional,
+// and shard ownership stays a function of spec index.
 //
 // # Observability and cancellation
 //

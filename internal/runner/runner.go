@@ -165,13 +165,14 @@ func (r *Runner) Run(ctx context.Context, specs []Spec, cell Cell) ([]Result, er
 		enqueued = time.Now()
 	}
 
-	// Deal cells round-robin so each worker starts with a spread of
-	// workloads (adjacent specs are usually the same slow benchmark).
+	// Deal cells round-robin in workload-rank order (see dealOrder), so
+	// each worker starts with a spread of workloads and every
+	// workload's first cell starts before any workload's second.
 	deques := make([]*deque, jobs)
 	for w := range deques {
 		deques[w] = &deque{gauge: queueGauge(w)}
 	}
-	for k, i := range mine {
+	for k, i := range dealOrder(specs, mine) {
 		deques[k%jobs].push(i)
 	}
 
@@ -270,6 +271,34 @@ func (r *Runner) Run(ctx context.Context, specs []Spec, cell Cell) ([]Result, er
 		return results, err
 	}
 	return results, nil
+}
+
+// dealOrder returns the spec indices in mine (ascending) in the order
+// Run deals them: ranked by how many earlier cells in mine share the
+// cell's workload, spec order within a rank. The first cell of a
+// workload is usually the one that records what its later cells replay
+// (a trace, an arch stream), so dealing every workload's first cell
+// before any second one starts each recording before the replays that
+// wait on it. When every workload has equally many cells and the
+// worker count divides the workload count, each worker also replays
+// the workloads it recorded. A grid whose cells share one workload
+// ranks in spec order, which is the plain round-robin deal.
+func dealOrder(specs []Spec, mine []int) []int {
+	seen := make(map[string]int)
+	var byRank [][]int
+	for _, i := range mine {
+		r := seen[specs[i].Workload]
+		seen[specs[i].Workload] = r + 1
+		if r == len(byRank) {
+			byRank = append(byRank, nil)
+		}
+		byRank[r] = append(byRank[r], i)
+	}
+	order := make([]int, 0, len(mine))
+	for _, rank := range byRank {
+		order = append(order, rank...)
+	}
+	return order
 }
 
 // stealInto takes work for worker w from the longest other deque,

@@ -66,9 +66,10 @@ func TestRunPositionalDeterminism(t *testing.T) {
 func TestStealOccurs(t *testing.T) {
 	reg := obs.NewRegistry()
 	specs := grid(64)
-	// Round-robin dealing gives worker 0 the specs with index ≡ 0
-	// (mod 8). Make exactly those slow: the other workers drain their
-	// queues quickly and must steal worker 0's backlog to finish.
+	// Every spec has its own workload, so the deal is round-robin in
+	// spec order and worker 0 gets the specs with index ≡ 0 (mod 8).
+	// Make exactly those slow: the other workers drain their queues
+	// quickly and must steal worker 0's backlog to finish.
 	cell := func(_ context.Context, sp Spec) (any, error) {
 		var i int
 		fmt.Sscanf(sp.Workload, "w%d", &i)
@@ -87,6 +88,70 @@ func TestStealOccurs(t *testing.T) {
 	}
 	if reg.Counter("specctrl_runner_steals_total", nil).Value() == 0 {
 		t.Fatal("no steals observed: idle workers left worker 0's backlog alone")
+	}
+}
+
+// TestDealOrder pins the deal: every workload's first cell before any
+// workload's second, spec order within a rank, so a recording cell
+// starts before the replays of every workload and, at 2 workers over
+// an even number of workloads, each worker replays what it recorded.
+// A grid whose cells all share one workload keeps the round-robin
+// deal in spec order.
+func TestDealOrder(t *testing.T) {
+	var specs []Spec
+	for _, w := range []string{"gcc", "go", "li", "perl"} {
+		for _, v := range []string{"record", "replay0", "replay1"} {
+			specs = append(specs, Spec{Experiment: "fig3", Workload: w, Predictor: "gshare", Variant: v})
+		}
+	}
+	all := make([]int, len(specs))
+	for i := range all {
+		all[i] = i
+	}
+	order := dealOrder(specs, all)
+	if want := []int{0, 3, 6, 9, 1, 4, 7, 10, 2, 5, 8, 11}; !reflect.DeepEqual(order, want) {
+		t.Fatalf("dealOrder = %v, want %v", order, want)
+	}
+	const jobs = 2
+	recordedBy := map[string]int{}
+	for k, i := range order {
+		sp := specs[i]
+		if sp.Variant == "record" {
+			recordedBy[sp.Workload] = k % jobs
+		} else if w, ok := recordedBy[sp.Workload]; !ok || w != k%jobs {
+			t.Errorf("%s dealt to worker %d, its recording to worker %d (dealt: %v)", sp.Key(), k%jobs, w, ok)
+		}
+	}
+
+	// A shard deals only what it owns, ranked the same way.
+	if got, want := dealOrder(specs, []int{1, 3, 5, 7, 9, 11}), []int{1, 3, 7, 9, 5, 11}; !reflect.DeepEqual(got, want) {
+		t.Errorf("shard dealOrder = %v, want %v", got, want)
+	}
+
+	// One workload key (the policy sweep's "suite"): spec order.
+	suite := make([]Spec, 7)
+	for i := range suite {
+		suite[i] = Spec{Experiment: "sweep", Workload: "suite", Predictor: "gshare", Variant: fmt.Sprint(i)}
+	}
+	if got := dealOrder(suite, all[:7]); !reflect.DeepEqual(got, all[:7]) {
+		t.Errorf("single-key dealOrder = %v, want spec order", got)
+	}
+
+	// A single worker runs its deque front to back: the deal order.
+	var ran []int
+	idx := map[string]int{}
+	for i, sp := range specs {
+		idx[sp.Key()] = i
+	}
+	cell := func(_ context.Context, sp Spec) (any, error) {
+		ran = append(ran, idx[sp.Key()])
+		return nil, nil
+	}
+	if _, err := New(Options{Jobs: 1}).Run(context.Background(), specs, cell); err != nil {
+		t.Fatal(err)
+	}
+	if !reflect.DeepEqual(ran, order) {
+		t.Errorf("serial run order = %v, want %v", ran, order)
 	}
 }
 

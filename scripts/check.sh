@@ -12,8 +12,17 @@ go test -race ./...
 # here so a failure points straight at the subsystem):
 #  - determinism: Jobs=1 vs Jobs=8 byte-identity and cell cache replay
 #  - cancellation: no goroutine leak under -race
+#  - deal order: every workload's first cell dealt before any second,
+#    single-key grids in spec order (TestDealOrder)
 go test -race -count=1 -run 'TestGridDeterminism|TestGridCancellation|TestCellsRoundTrip|TestShardRun' ./internal/experiments
+go test -race -count=1 -run 'TestDealOrder' ./internal/runner
 go test -race -count=1 ./internal/runner
+
+# Estimator bank gates: a threshold group's histogram kernel derives
+# every ConfStats field of every member exactly as a per-member
+# reference books it, read mid-stream and at the end; the pending
+# ring's kept low-confidence count equals a walk of the ring.
+go test -race -count=1 -run 'TestGroupKernelMatchesPerMemberOracle|TestBankGroupsByTable|TestPendingLowConfMatchesRingWalk' ./internal/pipeline
 
 # Record/replay gates (likewise named for diagnosis):
 #  - replay exactness: every estimator family replays bit-identical to
